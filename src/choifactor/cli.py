@@ -16,10 +16,6 @@ from .positivity import check_positive
 from .projection_algebra import spectral_decompose
 
 
-def _state_doc(rep) -> object:
-    return "tracial" if rep.tracial else {"weights": [float(w) for w in rep.weights]}
-
-
 def _cmd_choi(args) -> tuple[dict, bool]:
     phi, _ = formats.load_map_file(args.file)
     return {"command": "choi", "n": phi.n, "matrix": formats.matrix_doc(choi(phi))}, True
@@ -30,7 +26,7 @@ def _cmd_dphi(args) -> tuple[dict, bool]:
     doc = {
         "command": "dphi",
         "n": phi.n,
-        "state": _state_doc(rep),
+        "state": formats.state_doc(rep),
         "matrix": formats.matrix_doc(dual_choi(phi, rep)),
     }
     return doc, True

@@ -94,12 +94,14 @@ def vector_doc(v) -> list:
 
 
 def _parse_complex(entry, where: str) -> complex:
+    # json accepts NaN, Infinity and overflowing literals such as 1e400
     if (
         not isinstance(entry, (list, tuple))
         or len(entry) != 2
         or not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in entry)
+        or not all(math.isfinite(p) for p in entry)
     ):
-        raise FileFormatError(f"{where}: complex entries must be [re, im] numbers")
+        raise FileFormatError(f"{where}: complex entries must be [re, im] finite numbers")
     return complex(float(entry[0]), float(entry[1]))
 
 
@@ -177,11 +179,14 @@ def _load_json(path):
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def state_doc(rep: FactorRep):
+    """The "state" entry of the input schema for rep."""
+    return "tracial" if rep.tracial else {"weights": [float(w) for w in rep.weights]}
+
+
 def map_doc(phi: PairSumMap, rep: FactorRep) -> dict:
     """A document in the input schema describing phi over rep."""
     doc: dict = {"n": phi.n}
     doc["terms"] = [{"A": matrix_doc(a), "B": matrix_doc(b)} for a, b in phi.terms]
-    doc["state"] = (
-        "tracial" if rep.tracial else {"weights": [float(w) for w in rep.weights]}
-    )
+    doc["state"] = state_doc(rep)
     return doc

@@ -27,22 +27,9 @@ from .errors import (
     NotTracial,
     RepMismatch,
 )
-from .factor import (
-    FactorRep,
-    apply_factor_to_state,
-    implementer_from_vector,
-    make_factor,
-    vector_state,
-)
-from .linalg import (
-    as_complex,
-    dagger,
-    hermitian_eig,
-    hermiticity_defect,
-    kron,
-    leg_swap,
-    opnorm,
-)
+from .factor import FactorRep, implementer_from_vector, make_factor
+from .linalg import as_complex, dagger, hermitian_eig, hermiticity_defect, kron, opnorm
+from .projection_algebra import frozen_terms, state_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,18 +42,7 @@ class PairSumMap:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 2:
             raise ValueError(f"dimension must be an integer >= 2, got {self.n!r}")
-        out = []
-        for a, b in self.terms:
-            a = np.array(a, dtype=np.complex128)
-            b = np.array(b, dtype=np.complex128)
-            if a.shape != (self.n, self.n) or b.shape != (self.n, self.n):
-                raise DimensionMismatch(
-                    f"term matrices must be {self.n}x{self.n}, got {a.shape} and {b.shape}"
-                )
-            a.setflags(write=False)
-            b.setflags(write=False)
-            out.append((a, b))
-        object.__setattr__(self, "terms", tuple(out))
+        object.__setattr__(self, "terms", frozen_terms(self.n, self.terms))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -143,14 +119,7 @@ def adjoint_map(phi: PairSumMap) -> PairSumMap:
 
 def choi(phi: PairSumMap) -> np.ndarray:
     """sum_ij e_ij (x) phi(e_ij)."""
-    rep = make_factor(phi.n, "tracial")
-    n2 = phi.n * phi.n
-    out = np.zeros((n2, n2), dtype=np.complex128)
-    for a, b in phi.terms:
-        left = apply_factor_to_state(rep, a)
-        right = apply_factor_to_state(rep, dagger(b))
-        out += np.outer(left, np.conj(right))
-    return phi.n * out
+    return phi.n * state_sum(make_factor(phi.n, "tracial"), phi.terms)
 
 
 def dual_choi(phi: PairSumMap, rep: FactorRep | None = None) -> np.ndarray:
@@ -160,13 +129,7 @@ def dual_choi(phi: PairSumMap, rep: FactorRep | None = None) -> np.ndarray:
     it equals choi(adjoint_map(phi)) / n.
     """
     rep = _resolve_rep(phi, rep)
-    n2 = phi.n * phi.n
-    out = np.zeros((n2, n2), dtype=np.complex128)
-    for a, b in phi.terms:
-        left = apply_factor_to_state(rep, b)
-        right = apply_factor_to_state(rep, dagger(a))
-        out += np.outer(left, np.conj(right))
-    return out
+    return state_sum(rep, tuple((b, a) for a, b in phi.terms))
 
 
 def _resolve_rep(phi: PairSumMap, rep: FactorRep | None) -> FactorRep:
@@ -182,7 +145,8 @@ def map_from_dual_choi(d, rep: FactorRep) -> np.ndarray:
 
     Returns the transfer matrix of the recovered map: block (i, j) of n*d
     is the adjoint map applied to e_ij, and a leg swap plus transpose turns
-    the adjoint's transfer matrix into the map's own.
+    the adjoint's transfer matrix into the map's own. Both steps together
+    are one permutation of the four tensor indices.
     """
     if not rep.tracial:
         raise NotTracial("map recovery from the dual Choi operator needs uniform weights")
@@ -190,14 +154,7 @@ def map_from_dual_choi(d, rep: FactorRep) -> np.ndarray:
     n = rep.n
     if d.shape != (n * n, n * n):
         raise DimensionMismatch(f"expected {n * n}x{n * n}, got {d.shape}")
-    scaled = n * d
-    t_adj = np.zeros((n * n, n * n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            block = scaled[i * n : (i + 1) * n, j * n : (j + 1) * n]
-            t_adj[:, i * n + j] = block.reshape(-1)
-    w = leg_swap(n)
-    return w @ t_adj.T @ w
+    return (n * d).reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n * n, n * n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,16 +233,9 @@ def _random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
     return m / max(1.0, opnorm(m))
 
 
-def _amplified_apply(phi: PairSumMap, x: np.ndarray) -> np.ndarray:
-    # (identity (x) phi) on an n^2 by n^2 matrix, block by block.
-    n = phi.n
-    out = np.zeros_like(x)
-    for i in range(n):
-        for j in range(n):
-            out[i * n : (i + 1) * n, j * n : (j + 1) * n] = apply_map(
-                phi, x[i * n : (i + 1) * n, j * n : (j + 1) * n]
-            )
-    return out
+def _blocks_as_rows(m: np.ndarray, n: int) -> np.ndarray:
+    # Row i*n + j holds block (i, j) of m read out row-major; an involution.
+    return m.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
 @dataclass(frozen=True)
@@ -310,23 +260,24 @@ def extension_positivity_check(
     acting on all of B(H).
 
     Inputs are the state projection E plus `trials` random psd matrices of
-    size n^2 (unit operator norm). Reports the worst (lowest) output
-    eigenvalue and the worst output Hermiticity defect encountered.
+    size n^2 (unit operator norm). Block (i, j) of
+    sum_i (1(x)A_i) X (1(x)B_i) is phi(X_ij), so the output is the
+    amplification (identity (x) phi)(X), computed with the transfer
+    matrix. Reports the worst (lowest) output eigenvalue and the worst
+    output Hermiticity defect encountered.
     """
     rep = _resolve_rep(phi, rep)
     rng = np.random.default_rng(seed)
+    n = phi.n
+    t_rows = transfer(phi).T
     x0 = rep.state_vector
-    probes = [np.outer(x0, np.conj(x0))]
-    probes += [_random_psd(rng, phi.n * phi.n) for _ in range(trials)]
-    lifted = [
-        (kron(np.eye(phi.n), a), kron(np.eye(phi.n), b)) for a, b in phi.terms
-    ]
+    x = np.outer(x0, np.conj(x0))
     worst_low = np.inf
     worst_defect = 0.0
-    for x in probes:
-        out = np.zeros_like(x)
-        for la, lb in lifted:
-            out += la @ x @ lb
+    for k in range(trials + 1):
+        if k:
+            x = _random_psd(rng, n * n)
+        out = _blocks_as_rows(_blocks_as_rows(x, n) @ t_rows, n)
         worst_defect = max(worst_defect, hermiticity_defect(out) / max(1.0, opnorm(out)))
         low = float(np.linalg.eigvalsh((out + dagger(out)) / 2.0)[0])
         worst_low = min(worst_low, low)
@@ -368,28 +319,20 @@ def check_cp(
 
     (1) identity (x) phi preserves positivity on E and random psd inputs;
     (2) the lifted pair-sum formula is positive on B(H) (same probes);
-    (3) Kraus extraction from the dual Choi operator succeeds and
-        reproduces phi on the matrix-unit basis;
+    (3) Kraus extraction from the dual Choi operator succeeds and the
+        Kraus map has the transfer matrix of phi;
     (4) the dual Choi operator is psd;
     (5) the Choi matrix is psd.
+
+    In finite dimension the lifted formula of (2) applied to X is
+    (identity (x) phi)(X), so (1) and (2) read their verdict from one
+    probe pass of extension_positivity_check.
 
     Raises InternalDisagreement when the verdicts conflict.
     """
     rep = _resolve_rep(phi, rep)
-    rng = np.random.default_rng(seed)
-    n = phi.n
-
-    x0 = rep.state_vector
-    probes = [np.outer(x0, np.conj(x0))]
-    probes += [_random_psd(rng, n * n) for _ in range(trials)]
-    amp_ok = True
-    for x in probes:
-        ok, _ = _psd_within(_amplified_apply(phi, x), tol)
-        if not ok:
-            amp_ok = False
-            break
-
     ext = extension_positivity_check(phi, trials=trials, tol=tol, rep=rep, seed=seed)
+    amp_ok = ext.positive
 
     kraus_ok = False
     try:
@@ -397,16 +340,10 @@ def check_cp(
     except NotPositive:
         kd = None
     if kd is not None:
-        worst = 0.0
-        for i in range(n):
-            for j in range(n):
-                unit = np.zeros((n, n), dtype=np.complex128)
-                unit[i, j] = 1.0
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(kraus_apply(kd, unit) - apply_map(phi, unit)))),
-                )
-        kraus_ok = worst <= 10.0 * max(tol, 1e-12) * max(1.0, opnorm(transfer(phi)))
+        t = transfer(phi)
+        t_kraus = transfer(PairSumMap(phi.n, tuple((dagger(v), v) for v in kd.ops)))
+        worst = float(np.max(np.abs(t_kraus - t)))
+        kraus_ok = worst <= 10.0 * max(tol, 1e-12) * max(1.0, opnorm(t))
 
     dual_ok, dual_low = _psd_within(dual_choi(phi, rep), tol)
     choi_ok, choi_low = _psd_within(choi(phi), tol)
@@ -461,12 +398,13 @@ def adjoint_choi_symmetry(
         raise NotTracial("Choi symmetry checks are stated at uniform weights")
     c = choi(phi)
     c_adj = choi(adjoint_map(phi))
-    w = leg_swap(phi.n)
-    swap_err = float(np.max(np.abs(c_adj - w @ c.T @ w)))
+    # W M W with W the leg swap exchanges the two legs of both indices
+    c4 = c.reshape((phi.n,) * 4)
+    swapped_t = c4.transpose(3, 2, 1, 0).reshape(c.shape)  # W c^T W
+    swapped = c4.transpose(1, 0, 3, 2).reshape(c.shape)  # W c W
+    swap_err = float(np.max(np.abs(c_adj - swapped_t)))
     hermitian = hermiticity_defect(c) <= tol * max(1.0, opnorm(c))
-    conj_err = (
-        float(np.max(np.abs(c_adj - w @ np.conj(c) @ w))) if hermitian else None
-    )
+    conj_err = float(np.max(np.abs(c_adj - np.conj(swapped)))) if hermitian else None
     _, low_c = _psd_within(c, tol)
     _, low_a = _psd_within(c_adj, tol)
     agree = (low_c >= -tol) == (low_a >= -tol) if hermitian else True

@@ -34,16 +34,22 @@ from .linalg import TOL_ALG, as_complex, dagger, hermitian_eig, opnorm, subspace
 _SPECTRAL_CLUSTER_RTOL = 1e-8
 
 
-def _frozen_terms(rep: FactorRep, terms) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def frozen_terms(n: int, terms) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Validated read-only copies of coefficient pairs (A_i, B_i) in M_n.
+
+    Raises DimensionMismatch on a wrong shape and ValueError on a NaN or
+    infinite entry.
+    """
     out = []
-    for pair in terms:
-        a, b = pair
+    for a, b in terms:
         a = np.array(a, dtype=np.complex128)
         b = np.array(b, dtype=np.complex128)
-        if a.shape != (rep.n, rep.n) or b.shape != (rep.n, rep.n):
+        if a.shape != (n, n) or b.shape != (n, n):
             raise DimensionMismatch(
-                f"term matrices must be {rep.n}x{rep.n}, got {a.shape} and {b.shape}"
+                f"term matrices must be {n}x{n}, got {a.shape} and {b.shape}"
             )
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ValueError("term matrices must have finite entries")
         a.setflags(write=False)
         b.setflags(write=False)
         out.append((a, b))
@@ -58,7 +64,7 @@ class PairSumElement:
     terms: tuple = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _frozen_terms(self.rep, self.terms))
+        object.__setattr__(self, "terms", frozen_terms(self.rep.n, self.terms))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -110,20 +116,25 @@ def element_add(e1: PairSumElement, e2: PairSumElement) -> PairSumElement:
     return PairSumElement(e1.rep, e1.terms + e2.terms)
 
 
-def _term_matrix(rep: FactorRep, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # (1 (x) A) E (1 (x) B) is the rank-one operator |(1(x)A)x><(1(x)B*)x|.
-    left = apply_factor_to_state(rep, a)
-    right = apply_factor_to_state(rep, dagger(b))
-    return np.outer(left, np.conj(right))
+def state_sum(rep: FactorRep, terms) -> np.ndarray:
+    """Dense n^2 by n^2 matrix of sum_i (1 (x) A_i) E (1 (x) B_i) over rep.
+
+    Each term is the rank-one operator |(1(x)A)x><(1(x)B*)x|, added one
+    at a time in term order: one matmul over all terms sums in another
+    order and changes the last digits of the golden outputs.
+    """
+    n2 = rep.n * rep.n
+    out = np.zeros((n2, n2), dtype=np.complex128)
+    for a, b in terms:
+        left = apply_factor_to_state(rep, a)
+        right = apply_factor_to_state(rep, dagger(b))
+        out += np.outer(left, np.conj(right))
+    return out
 
 
 def materialize(e: PairSumElement) -> np.ndarray:
     """Dense n^2 by n^2 matrix of the element."""
-    n2 = e.rep.n * e.rep.n
-    out = np.zeros((n2, n2), dtype=np.complex128)
-    for a, b in e.terms:
-        out += _term_matrix(e.rep, a, b)
-    return out
+    return state_sum(e.rep, e.terms)
 
 
 def compress(e: PairSumElement, tol: float = TOL_ALG) -> PairSumElement:
@@ -135,7 +146,7 @@ def compress(e: PairSumElement, tol: float = TOL_ALG) -> PairSumElement:
     """
     if not e.terms:
         return e
-    frames = [_term_matrix(e.rep, a, b).reshape(-1) for a, b in e.terms]
+    frames = [state_sum(e.rep, (term,)).reshape(-1) for term in e.terms]
     total = np.sum(frames, axis=0)
     kept: list[int] = []
     ortho: list[np.ndarray] = []
@@ -214,7 +225,7 @@ def rank_one_implementer(p: PairSumElement, tol: float = TOL_ALG) -> np.ndarray:
     s = implementer_from_vector(p.rep, y)
     val = float(np.real(vector_state(p.rep, dagger(s) @ s)))
     s = s / np.sqrt(val)
-    check = _term_matrix(p.rep, s, dagger(s))
+    check = state_sum(p.rep, ((s, dagger(s)),))
     if np.max(np.abs(check - m)) > 1e-8 * scale:
         raise NotRankOneProjection("implementer does not reproduce the projection")
     return s
@@ -265,7 +276,7 @@ def spectral_decompose(t: PairSumElement, tol: float = 1e-9) -> SpectralDecompos
     # spectral projections of nonzero eigenvalues are polynomials in t with
     # zero constant term, hence must sit inside the span of the term frames
     frames = [
-        _term_matrix(t.rep, a, b).reshape(-1)
+        state_sum(t.rep, ((a, b),)).reshape(-1)
         for a, _ in t.terms
         for _, b in t.terms
     ]

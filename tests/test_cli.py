@@ -85,6 +85,24 @@ def test_parse_complex_entries_strictly():
         parse_map_file(bad)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize(
+    "cmd", ["choi", "dphi", "adjoint", "cp", "kraus", "positive", "spectral"]
+)
+def test_cli_nonfinite_entries_exit_2(tmp_path, cmd, literal):
+    # Python's json reads these literals as non-finite floats
+    text = (
+        '{"n": 2, "terms": [{"A": [[[%s, 0], [0, 0]], [[0, 0], [1, 0]]], '
+        '"B": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]}' % literal
+    )
+    path = tmp_path / "nonfinite.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli([cmd, str(path)])
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_cli_missing_file_exits_2():
     code, out, err = run_cli(["choi", str(DATA / "no_such_file.json")])
     assert code == 2

@@ -14,6 +14,7 @@ from choifactor import (
     choi,
     conjugation_map,
     dual_choi,
+    embed,
     extension_positivity_check,
     identity_map,
     kraus_apply,
@@ -313,6 +314,81 @@ def test_extension_check_flags_nonhermitian_output():
     report = extension_positivity_check(phi)
     assert not report.positive
     assert report.hermiticity_defect > 1e-6
+
+
+def _lifted_extension_reference(phi, rep, trials, seed):
+    # sum_i (1(x)A_i) X (1(x)B_i) with the coefficients lifted to n^2 x n^2,
+    # on E and then on the seeded psd probes in extension_positivity_check's order
+    rng = np.random.default_rng(seed)
+    dim = phi.n * phi.n
+    x0 = rep.state_vector
+    probes = [np.outer(x0, np.conj(x0))]
+    for _ in range(trials):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m = g @ g.conj().T
+        probes.append(m / max(1.0, np.linalg.norm(m, 2)))
+    lifted = [(embed(rep, a), embed(rep, b)) for a, b in phi.terms]
+    worst_low, worst_defect = np.inf, 0.0
+    for x in probes:
+        out = sum((la @ x @ lb for la, lb in lifted), np.zeros_like(x))
+        defect = np.max(np.abs(out - out.conj().T)) / max(1.0, np.linalg.norm(out, 2))
+        worst_defect = max(worst_defect, defect)
+        worst_low = min(worst_low, np.linalg.eigvalsh((out + out.conj().T) / 2)[0])
+    return worst_low, worst_defect
+
+
+def _band_map(n, t):
+    return map_sum(identity_map(n), map_scale(transpose_map(n), t))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_extension_check_matches_lifted_reference(n, weighted):
+    # tolerance fixed from double precision: sums of n^2 products of O(1) terms
+    rtol = 1e-12
+    rng = np.random.default_rng(60 + n)
+    rep = make_factor(n, rng.uniform(0.2, 1.0, n)) if weighted else make_factor(n)
+    maps = [random_map(rng, n, 3), random_cp_map(rng, n, 2), random_hp_map(rng, n, 3)]
+    maps += [_band_map(n, t) for t in (1e-10, 1.5e-9, 3e-9, 1e-6)]
+    for phi in maps:
+        report = extension_positivity_check(phi, trials=6, rep=rep, seed=7)
+        low, defect = _lifted_extension_reference(phi, rep, trials=6, seed=7)
+        scale = max(1.0, np.linalg.norm(transfer(phi), 2))
+        assert abs(report.min_eigenvalue - low) <= rtol * scale
+        assert abs(report.hermiticity_defect - defect) <= rtol
+
+
+def _outer_product_sum(rep, terms):
+    n2 = rep.n * rep.n
+    out = np.zeros((n2, n2), dtype=np.complex128)
+    for a, b in terms:
+        left = embed(rep, a) @ rep.state_vector
+        right = embed(rep, b.conj().T) @ rep.state_vector
+        out += np.outer(left, right.conj())
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_state_sums_match_outer_product_loop(n, weighted):
+    rng = np.random.default_rng(70 + n)
+    rep = make_factor(n, rng.uniform(0.2, 1.0, n)) if weighted else make_factor(n)
+    phi = random_map(rng, n, 4)
+    swapped = tuple((b, a) for a, b in phi.terms)
+    assert np.array_equal(choi(phi), n * _outer_product_sum(make_factor(n), phi.terms))
+    assert np.array_equal(dual_choi(phi, rep), _outer_product_sum(rep, swapped))
+    element = PairSumElement(rep, phi.terms)
+    assert np.array_equal(materialize(element), _outer_product_sum(rep, phi.terms))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_terms_reject_nonfinite_entries(bad):
+    a = np.eye(2, dtype=complex)
+    a[0, 1] = bad
+    with pytest.raises(ValueError):
+        PairSumMap(2, ((a, np.eye(2)),))
+    with pytest.raises(ValueError):
+        PairSumElement(TRACIAL2, ((np.eye(2), a),))
 
 
 def test_adjoint_choi_symmetry_conjugation():
