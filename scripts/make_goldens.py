@@ -2,18 +2,29 @@
 
 Run from the repository root:
 
-    python3 scripts/make_goldens.py
+    python3 scripts/make_goldens.py            # rewrite tests/data
+    python3 scripts/make_goldens.py --check    # compare only, write nothing
 
 Corpus map files land in tests/data/, one golden file per (corpus,
 command) pair in tests/data/golden/. Everything is seeded, so reruns
 reproduce the files byte for byte.
+
+With --check the corpus and goldens are generated into a temporary
+directory and compared byte for byte with tests/data; every file that
+differs, is missing, or sits in tests/data/golden without being generated
+is listed, and the exit status is 1 if there is any, else 0. A change
+meant to leave every output as it was can prove so without touching the
+tree.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
+import filecmp
 import io
 import pathlib
 import sys
+import tempfile
 
 import numpy as np
 
@@ -77,22 +88,55 @@ def corpus() -> dict[str, dict]:
     return {name: formats.map_doc(phi, rep) for name, phi in maps.items()}
 
 
-def main() -> int:
-    DATA.mkdir(parents=True, exist_ok=True)
-    GOLDEN.mkdir(parents=True, exist_ok=True)
+def write_all(data: pathlib.Path) -> list[pathlib.Path]:
+    """Write the corpus and its goldens under data; returns the paths written."""
+    golden = data / "golden"
+    golden.mkdir(parents=True, exist_ok=True)
+    written = []
     for name, doc in corpus().items():
-        path = DATA / f"{name}.json"
+        path = data / f"{name}.json"
         path.write_text(formats.dumps(doc, pretty=True) + "\n", encoding="utf-8")
-        print(f"wrote {path}")
+        written.append(path)
         for cmd, argv in COMMANDS.items():
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 code = cli_main(argv + [str(path)])
             if code != 0:
                 raise RuntimeError(f"{cmd} on {name} exited {code}")
-            out = GOLDEN / f"{name}__{cmd}.json"
+            out = golden / f"{name}__{cmd}.json"
             out.write_text(buf.getvalue(), encoding="utf-8")
-            print(f"wrote {out}")
+            written.append(out)
+    return written
+
+
+def check() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh = pathlib.Path(tmp)
+        rel = {p.relative_to(fresh) for p in write_all(fresh)}
+        differ = sorted(
+            r for r in rel
+            if not (DATA / r).is_file() or not filecmp.cmp(fresh / r, DATA / r, shallow=False)
+        )
+    stale = sorted(p.relative_to(DATA) for p in GOLDEN.glob("*") if p.relative_to(DATA) not in rel)
+    for r in differ:
+        print(f"differs or missing: tests/data/{r}")
+    for r in stale:
+        print(f"not generated: tests/data/{r}")
+    print(f"{len(rel)} files generated, {len(differ)} differ, {len(stale)} not generated")
+    return 1 if differ or stale else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="compare with tests/data instead of writing it; exit 1 on any difference",
+    )
+    if parser.parse_args().check:
+        return check()
+    for path in write_all(DATA):
+        print(f"wrote {path}")
     return 0
 
 

@@ -2,12 +2,15 @@
 
 Reads a map or element file (JSON, schema in formats.py) and emits one
 JSON document on stdout. Exit codes: 0 success, 2 input or validation
-error, 3 negative verdict under --assert, 4 conflicting internal checks.
+error (including finite input too large to compute with), 3 negative
+verdict under --assert, 4 conflicting internal checks.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+
+import numpy as np
 
 from . import formats
 from .errors import ChoiFactorError, InternalDisagreement, NotPositive
@@ -185,13 +188,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         doc, ok = args.func(args)
+        text = formats.dumps(doc, pretty=args.pretty)
     except InternalDisagreement as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except ChoiFactorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(formats.dumps(doc, pretty=args.pretty))
+    except np.linalg.LinAlgError as exc:
+        # LAPACK gives up on overflowed (inf or NaN) operators
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 2
+    print(text)
     if getattr(args, "assert_", False) and not ok:
         return 3
     return 0

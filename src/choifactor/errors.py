@@ -84,3 +84,13 @@ class UnsupportedDimension(ChoiFactorError):
 
 class FileFormatError(ChoiFactorError):
     """Input document violates the published file schema."""
+
+
+class NumericalFailure(ChoiFactorError, ValueError):
+    """Finite input drove a computation out of floating point range.
+
+    Raised for results that are not finite numbers and for iterations
+    that lost their invariant, e.g. entries near 1e200 whose products
+    overflow. It is also a ValueError, so that callers of formats.dumps
+    that catch ValueError for non-finite numbers keep working.
+    """

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import FileFormatError, NumericalFailure
 from .factor import FactorRep, make_factor
 from .maps import PairSumMap
 from .projection_algebra import PairSumElement
@@ -27,7 +27,7 @@ from .projection_algebra import PairSumElement
 def _format_float(x: float) -> str:
     x = float(x)
     if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"cannot serialize {x!r}")
+        raise NumericalFailure(f"cannot serialize {x!r}: the result is not a finite number")
     if x == 0.0:  # collapse -0.0 so byte output ignores the sign of zero
         x = 0.0
     return format(x, ".17g")

@@ -44,6 +44,16 @@ def hermiticity_defect(m) -> float:
     return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
 
 
+def scaled_tol(x: float, tol: float, m) -> float:
+    """The threshold tol * max(1, opnorm(m)) that a defect x >= 0 is held to.
+
+    When x <= tol the scale cannot change the comparison, so tol itself is
+    returned and the SVD behind opnorm is skipped; x compares with the
+    result exactly as with the full threshold, NaN included.
+    """
+    return tol if x <= tol else tol * max(1.0, opnorm(m))
+
+
 def leg_swap(n: int) -> np.ndarray:
     """Unitary exchanging the two tensor legs of C^n (x) C^n."""
     w = np.zeros((n * n, n * n), dtype=np.complex128)

@@ -28,7 +28,7 @@ from .errors import (
     RepMismatch,
 )
 from .factor import FactorRep, implementer_from_vector, make_factor
-from .linalg import as_complex, dagger, hermitian_eig, hermiticity_defect, kron, opnorm
+from .linalg import as_complex, dagger, hermitian_eig, hermiticity_defect, opnorm, scaled_tol
 from .projection_algebra import frozen_terms, state_sum
 
 
@@ -104,10 +104,11 @@ def apply_map(phi: PairSumMap, c) -> np.ndarray:
 
 def transfer(phi: PairSumMap) -> np.ndarray:
     """Matrix acting on row-major vec: vec(phi(C)) = transfer(phi) vec(C)."""
-    n2 = phi.n * phi.n
-    out = np.zeros((n2, n2), dtype=np.complex128)
+    n = phi.n
+    out = np.zeros((n * n, n * n), dtype=np.complex128)
     for a, b in phi.terms:
-        out += kron(a, b.T)
+        # kron(a, b^T) as one broadcast product, entry (i*n + k, j*n + l)
+        out += (a[:, None, :, None] * b.T[None, :, None, :]).reshape(n * n, n * n)
     return out
 
 
@@ -183,11 +184,10 @@ def kraus_decompose(
     """
     rep = _resolve_rep(phi, rep)
     d = dual_choi(phi, rep)
-    scale = max(1.0, opnorm(d))
     defect = hermiticity_defect(d)
     herm = (d + dagger(d)) / 2.0
     evals, evecs = hermitian_eig(herm, tol=max(tol, 1e-6))
-    if defect > tol * scale:
+    if defect > scaled_tol(defect, tol, d):
         raise NotPositive(float(evals[-1]), hermiticity_defect=defect,
                           message="dual Choi operator is not Hermitian")
     if evals[-1] < -tol:
@@ -220,22 +220,33 @@ def kraus_apply(kd: KrausDecomposition, c) -> np.ndarray:
 def _psd_within(m: np.ndarray, tol: float) -> tuple[bool, float]:
     # Hermitian within tol (relative) and min eigenvalue of the Hermitian
     # part >= -tol. Returns (ok, min eigenvalue).
-    scale = max(1.0, opnorm(m))
     low = float(np.linalg.eigvalsh((m + dagger(m)) / 2.0)[0])
-    if hermiticity_defect(m) > tol * scale:
+    defect = hermiticity_defect(m)
+    if defect > scaled_tol(defect, tol, m):
         return False, low
     return low >= -tol, low
 
 
-def _random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ dagger(g)
-    return m / max(1.0, opnorm(m))
+# Probes are evaluated in stacks of at most this many bytes per complex
+# (count, n^2, n^2) copy: all 65 default probes in one stack at n = 2, three
+# per stack at n = 6, one at a time at n = 8. Larger stacks would raise peak
+# memory at n >= 6, where one call per probe costs little anyway.
+_STACK_BYTES = 1 << 16
+
+
+def _random_psd(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    # count psd matrices scaled to operator norm at most 1; each draws its
+    # real part and then its imaginary part, as one draw per probe would
+    s = rng.standard_normal((count, 2, dim, dim))
+    g = s[:, 0] + 1j * s[:, 1]
+    m = g @ np.conj(g).swapaxes(1, 2)
+    return m / np.maximum(1.0, np.linalg.norm(m, 2, axis=(1, 2)))[:, None, None]
 
 
 def _blocks_as_rows(m: np.ndarray, n: int) -> np.ndarray:
-    # Row i*n + j holds block (i, j) of m read out row-major; an involution.
-    return m.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    # Row i*n + j of each matrix in the stack holds its block (i, j) read
+    # out row-major; an involution.
+    return m.reshape(-1, n, n, n, n).transpose(0, 1, 3, 2, 4).reshape(m.shape)
 
 
 @dataclass(frozen=True)
@@ -264,23 +275,40 @@ def extension_positivity_check(
     sum_i (1(x)A_i) X (1(x)B_i) is phi(X_ij), so the output is the
     amplification (identity (x) phi)(X), computed with the transfer
     matrix. Reports the worst (lowest) output eigenvalue and the worst
-    output Hermiticity defect encountered.
+    output Hermiticity defect relative to max(1, ||out||).
+
+    Probes are drawn, multiplied and diagonalized in stacks of up to 64 KB
+    per copy. Since ||out|| >= ||(out + out*)/2|| = max |eigenvalue|, the
+    eigenvalues already give an upper bound on each probe's relative
+    defect, and ||out|| is computed only for probes whose bound exceeds
+    the worst defect so far.
     """
     rep = _resolve_rep(phi, rep)
     rng = np.random.default_rng(seed)
     n = phi.n
+    dim = n * n
     t_rows = transfer(phi).T
     x0 = rep.state_vector
-    x = np.outer(x0, np.conj(x0))
+    per_stack = max(1, _STACK_BYTES // (16 * dim * dim))  # complex128 entries
     worst_low = np.inf
     worst_defect = 0.0
-    for k in range(trials + 1):
-        if k:
-            x = _random_psd(rng, n * n)
+    for start in range(0, trials + 1, per_stack):
+        count = min(per_stack, trials + 1 - start)
+        if start:
+            x = _random_psd(rng, count, dim)
+        else:  # E leads the first stack
+            x = np.concatenate([np.outer(x0, np.conj(x0))[None], _random_psd(rng, count - 1, dim)])
         out = _blocks_as_rows(_blocks_as_rows(x, n) @ t_rows, n)
-        worst_defect = max(worst_defect, hermiticity_defect(out) / max(1.0, opnorm(out)))
-        low = float(np.linalg.eigvalsh((out + dagger(out)) / 2.0)[0])
-        worst_low = min(worst_low, low)
+        adj = np.conj(out).swapaxes(1, 2)
+        defects = np.max(np.abs(out - adj), axis=(1, 2))
+        evals = np.linalg.eigvalsh((out + adj) / 2.0)
+        # max |eigenvalue| shrunk by far more than the eigensolver's and the
+        # SVD's rounding, so each bound stays above defect / max(1, ||out||)
+        bounds = defects / np.maximum(1.0, np.max(np.abs(evals), axis=1) * (1.0 - 1e-10))
+        for j, bound in enumerate(bounds.tolist()):
+            if bound > worst_defect:
+                worst_defect = max(worst_defect, float(defects[j]) / max(1.0, opnorm(out[j])))
+        worst_low = min([worst_low] + evals[:, 0].tolist())
     ok = worst_low >= -tol and worst_defect <= tol
     return ExtensionReport(
         positive=bool(ok),
@@ -343,7 +371,7 @@ def check_cp(
         t = transfer(phi)
         t_kraus = transfer(PairSumMap(phi.n, tuple((dagger(v), v) for v in kd.ops)))
         worst = float(np.max(np.abs(t_kraus - t)))
-        kraus_ok = worst <= 10.0 * max(tol, 1e-12) * max(1.0, opnorm(t))
+        kraus_ok = worst <= scaled_tol(worst, 10.0 * max(tol, 1e-12), t)
 
     dual_ok, dual_low = _psd_within(dual_choi(phi, rep), tol)
     choi_ok, choi_low = _psd_within(choi(phi), tol)
@@ -403,7 +431,8 @@ def adjoint_choi_symmetry(
     swapped_t = c4.transpose(3, 2, 1, 0).reshape(c.shape)  # W c^T W
     swapped = c4.transpose(1, 0, 3, 2).reshape(c.shape)  # W c W
     swap_err = float(np.max(np.abs(c_adj - swapped_t)))
-    hermitian = hermiticity_defect(c) <= tol * max(1.0, opnorm(c))
+    defect = hermiticity_defect(c)
+    hermitian = defect <= scaled_tol(defect, tol, c)
     conj_err = float(np.max(np.abs(c_adj - np.conj(swapped)))) if hermitian else None
     _, low_c = _psd_within(c, tol)
     _, low_a = _psd_within(c_adj, tol)

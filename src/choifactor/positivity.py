@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, UnsupportedDimension
+from .errors import DimensionMismatch, NotHermitian, NumericalFailure, UnsupportedDimension
 from .factor import FactorRep
-from .linalg import as_complex, canonical_phase, dagger, hermiticity_defect, opnorm
+from .linalg import as_complex, canonical_phase, dagger, hermiticity_defect, opnorm, scaled_tol
 from .maps import PairSumMap, _resolve_rep, apply_map, choi, dual_choi
 
 
@@ -71,6 +71,16 @@ def _min_eigvec(m: np.ndarray) -> tuple[float, np.ndarray]:
     return float(evals[0]), evecs[:, 0]
 
 
+def _check_descent(value: float, previous: float, scale: float) -> None:
+    # each half-step minimizes over a set holding the previous point, so
+    # the objective can rise only by rounding, or not be a number at all
+    if not value <= previous + 1e-12 * scale:
+        raise NumericalFailure(
+            f"seesaw step went from {previous!r} to {value!r} instead of down: "
+            "the pairing operator is out of floating point range"
+        )
+
+
 def seesaw_product_min(
     d,
     restarts: int = 32,
@@ -103,10 +113,10 @@ def seesaw_product_min(
         for _ in range(iters):
             sweep_start = value
             value, u = _min_eigvec(_contract_v(d4, v))
-            assert value <= sweep_start + 1e-12 * scale
+            _check_descent(value, sweep_start, scale)
             half = value
             value, v = _min_eigvec(_contract_u(d4, u))
-            assert value <= half + 1e-12 * scale
+            _check_descent(value, half, scale)
             if sweep_start - value < tol:
                 break
         if best is None or value < best[0]:
@@ -227,7 +237,8 @@ def check_positive(
     d = dual_choi(phi, rep)
 
     c = choi(phi)
-    if hermiticity_defect(c) > tol * max(1.0, opnorm(c)):
+    defect = hermiticity_defect(c)
+    if defect > scaled_tol(defect, tol, c):
         return _direct_hermiticity_witness(phi, rep, d, seed)
 
     cert = seesaw_product_min(d, restarts=restarts, iters=iters, tol=tol, seed=seed)

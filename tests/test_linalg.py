@@ -7,6 +7,8 @@ from choifactor.linalg import (
     hermitian_eig,
     kron,
     leg_swap,
+    opnorm,
+    scaled_tol,
     subspace_coeffs,
 )
 from helpers import cgauss, random_hermitian
@@ -130,3 +132,14 @@ def test_subspace_coeffs_roundtrip():
 def test_subspace_coeffs_length_mismatch():
     with pytest.raises(DimensionMismatch):
         subspace_coeffs(np.zeros(3), [np.zeros(4)])
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0, -1e-9])
+def test_scaled_tol_compares_like_the_full_threshold(tol):
+    rng = np.random.default_rng(31)
+    for m in (5.0 * cgauss(rng, 4, 4), 0.1 * cgauss(rng, 4, 4)):
+        full = tol * max(1.0, opnorm(m))
+        for x in (0.0, 1e-10, 1e-9, 2e-9, 1e-8, 1.0, float("nan")):
+            lazy = scaled_tol(x, tol, m)
+            assert (x <= lazy) == (x <= full)
+            assert (x > lazy) == (x > full)

@@ -29,6 +29,7 @@ from choifactor import (
     transfer,
     transpose_map,
 )
+from choifactor.maps import _random_psd
 from helpers import cgauss, matrix_unit, random_cp_map, random_hp_map, random_map
 
 TRACIAL2 = make_factor(2)
@@ -356,6 +357,77 @@ def test_extension_check_matches_lifted_reference(n, weighted):
         scale = max(1.0, np.linalg.norm(transfer(phi), 2))
         assert abs(report.min_eigenvalue - low) <= rtol * scale
         assert abs(report.hermiticity_defect - defect) <= rtol
+
+
+def _per_probe_extension_reference(phi, rep, trials, seed):
+    # the probe loop one matrix at a time: E, then each seeded psd probe with
+    # its real and imaginary draws, the output's defect relative to its SVD norm
+    rng = np.random.default_rng(seed)
+    n = phi.n
+    dim = n * n
+    t_rows = transfer(phi).T
+
+    def blocks_as_rows(m):
+        return m.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(dim, dim)
+
+    x0 = rep.state_vector
+    x = np.outer(x0, np.conj(x0))
+    worst_low, worst_defect = np.inf, 0.0
+    for k in range(trials + 1):
+        if k:
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            m = g @ np.conj(g).T
+            x = m / max(1.0, np.linalg.norm(m, 2))
+        out = blocks_as_rows(blocks_as_rows(x) @ t_rows)
+        defect = np.max(np.abs(out - np.conj(out).T))
+        worst_defect = max(worst_defect, defect / max(1.0, np.linalg.norm(out, 2)))
+        worst_low = min(worst_low, float(np.linalg.eigvalsh((out + np.conj(out).T) / 2.0)[0]))
+    ok = worst_low >= -1e-9 and worst_defect <= 1e-9
+    return ok, worst_low, worst_defect
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 8])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_stacked_extension_check_matches_per_probe_loop(n, weighted):
+    # stacks hold 256 probes at n = 2, 50 at n = 3, 3 at n = 6 and 1 at n = 8:
+    # E plus 0-4 trials fills an n = 6 stack partly, exactly and one over, and
+    # 64 trials take two stacks at n = 3. Tolerance fixed beforehand: the
+    # stacks do the same floating point work as the loop.
+    rtol = 1e-14
+    rng = np.random.default_rng(90 + n)
+    rep = make_factor(n, rng.uniform(0.2, 1.0, n)) if weighted else make_factor(n)
+    maps = [random_map(rng, n, 2), random_hp_map(rng, n, 2), _band_map(n, 1.5e-9)]
+    for phi in maps:
+        for trials in (0, 1, 2, 3, 4, 64):
+            report = extension_positivity_check(phi, trials=trials, rep=rep, seed=trials)
+            ok, low, defect = _per_probe_extension_reference(phi, rep, trials, seed=trials)
+            assert report.positive == ok
+            assert abs(report.min_eigenvalue - low) <= rtol * abs(low)
+            assert abs(report.hermiticity_defect - defect) <= rtol * defect
+            assert (report.trials, report.seed) == (trials, trials)
+
+
+@pytest.mark.parametrize("dim", [4, 9, 36])
+def test_stacked_probe_draws_match_sequential_draws(dim):
+    rng_stacked, rng_seq = np.random.default_rng(11), np.random.default_rng(11)
+    stacks = [_random_psd(rng_stacked, count, dim) for count in (3, 0, 1, 5)]
+    want = []
+    for _ in range(9):
+        g = rng_seq.standard_normal((dim, dim)) + 1j * rng_seq.standard_normal((dim, dim))
+        m = g @ np.conj(g).T
+        want.append(m / max(1.0, np.linalg.norm(m, 2)))
+    assert np.array_equal(np.concatenate(stacks), np.array(want))
+    assert rng_stacked.standard_normal() == rng_seq.standard_normal()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_transfer_equals_kronecker_sum(n):
+    rng = np.random.default_rng(80 + n)
+    for phi in (random_map(rng, n, 7), transpose_map(n), trace_map(n)):
+        want = np.zeros((n * n, n * n), dtype=np.complex128)
+        for a, b in phi.terms:
+            want += np.kron(a, b.T)
+        assert np.array_equal(transfer(phi), want)
 
 
 def _outer_product_sum(rep, terms):

@@ -3,6 +3,7 @@ import pytest
 
 from choifactor import (
     NotHermitian,
+    NumericalFailure,
     PairSumMap,
     UnsupportedDimension,
     apply_map,
@@ -251,3 +252,13 @@ def test_product_min_consistent_with_output_spectrum(seed):
             assert low <= 2 * b + 1e-9
         else:
             assert seesaw_product_min(d).value >= -1e-6
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_seesaw_reports_overflow_as_numerical_failure():
+    # products of the 1e200 entries overflow to inf and the see-saw's pairing
+    # turns into NaN; the descent check must say so, also under python -O
+    big = np.diag([1e200, 1.0]).astype(complex)
+    phi = PairSumMap(2, ((big, big),))
+    with pytest.raises(NumericalFailure):
+        check_positive(phi)
