@@ -1,0 +1,137 @@
+"""Print one SHA-256 digest per report kind over a fixed seeded case set.
+
+Run from the repository root (with choifactor importable, e.g. installed
+or with PYTHONPATH=src):
+
+    python3 scripts/report_digest.py
+    OPENBLAS_NUM_THREADS=2 python3 scripts/report_digest.py
+
+The cases are random, completely positive, Hermiticity-preserving,
+transpose-type, rank-one, equal-weight orthogonal Kraus and near-boundary
+band (identity + t * transpose, t across (tol/n, n * tol)) maps at
+n in {2, 3, 4, 6, 8}, at uniform and at non-uniform weights. Four digests
+are printed, each with the number of records behind it:
+
+    check_cp      repr of the CpReport, or of the report carried by
+                  InternalDisagreement, at trials in {0, 1, 4, 64}
+    extension     repr of the ExtensionReport at trials in {0, 1, 2, 3, 4, 64}
+    kraus         bytes of the Kraus operators and repr of the coefficients,
+                  at tol in {1e-9, 1e-3}
+    not_positive  min_eigenvalue, hermiticity_defect and message of the
+                  NotPositive raised instead, at the same tolerances
+
+A change meant to leave every report bit for bit as it was prints the
+same four lines before and after; compare the output of two checkouts
+(and of one and two BLAS threads). It complements
+`scripts/make_goldens.py --check`, which covers the CLI at n = 2 only.
+"""
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+from choifactor import (
+    InternalDisagreement,
+    NotPositive,
+    PairSumMap,
+    check_cp,
+    extension_positivity_check,
+    identity_map,
+    kraus_decompose,
+    make_factor,
+    map_scale,
+    map_sum,
+    transpose_map,
+)
+
+SIZES = (2, 3, 4, 6, 8)
+TOL = 1e-9
+CP_TRIALS = (0, 1, 4, 64)
+EXTENSION_TRIALS = (0, 1, 2, 3, 4, 64)
+KRAUS_TOLS = (1e-9, 1e-3)
+BAND_CELLS = 6
+
+
+def _cgauss(rng, *shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+def _conjugations(vs, weights):
+    return tuple((w * np.conj(v).T, v) for w, v in zip(weights, vs))
+
+
+def _weyl(n):
+    # the n^2 clock-and-shift unitaries, orthogonal in the trace inner product
+    shift = np.roll(np.eye(n), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    return [np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+            for a in range(n) for b in range(n)]
+
+
+def _maps(rng, n):
+    k = n
+    vs = [_cgauss(rng, n, n) for _ in range(k)]
+    units = _weyl(n)
+    yield "random", PairSumMap(n, tuple((_cgauss(rng, n, n), _cgauss(rng, n, n))
+                                        for _ in range(3)))
+    yield "cp", PairSumMap(n, _conjugations(vs, np.ones(k)))
+    yield "hp", PairSumMap(n, _conjugations(vs, rng.standard_normal(k)))
+    yield "rank_one", PairSumMap(n, _conjugations(vs[:1], [1.0]))
+    yield "equal_weight_kraus", PairSumMap(n, _conjugations(units[: n + 1], np.ones(n + 1)))
+    yield "transpose", transpose_map(n)
+    yield "reduction", map_sum(PairSumMap(n, _conjugations(units, np.ones(n * n) / n)),
+                               PairSumMap(n, _conjugations(vs[:1], [-1.0])))
+
+
+def cases():
+    """(label, map, representation) triples in a fixed order."""
+    rng = np.random.default_rng(20141)
+    for n in SIZES:
+        reps = (("tracial", make_factor(n)), ("weighted", make_factor(n, rng.uniform(0.2, 1.0, n))))
+        for kind, phi in _maps(rng, n):
+            for weighting, rep in reps:
+                yield f"{kind} n={n} {weighting}", phi, rep
+        if n <= 3:
+            edges = np.geomspace(TOL / n, n * TOL, BAND_CELLS + 1)
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                t = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+                phi = map_sum(identity_map(n), map_scale(transpose_map(n), t))
+                yield f"band n={n} t={t!r}", phi, make_factor(n)
+
+
+def main() -> int:
+    digests = {kind: hashlib.sha256() for kind in ("check_cp", "extension", "kraus", "not_positive")}
+    counts = dict.fromkeys(digests, 0)
+
+    def record(kind, label, payload):
+        digests[kind].update(label.encode() + b"\0" + payload + b"\n")
+        counts[kind] += 1
+
+    for label, phi, rep in cases():
+        for trials in CP_TRIALS:
+            try:
+                report = check_cp(phi, tol=TOL, rep=rep, trials=trials, seed=trials)
+            except InternalDisagreement as exc:
+                report = exc.report
+            record("check_cp", f"{label} trials={trials}", repr(report).encode())
+        for trials in EXTENSION_TRIALS:
+            ext = extension_positivity_check(phi, trials=trials, tol=TOL, rep=rep, seed=trials)
+            record("extension", f"{label} trials={trials}", repr(ext).encode())
+        for tol in KRAUS_TOLS:
+            try:
+                kd = kraus_decompose(phi, rep, tol=tol)
+            except NotPositive as exc:
+                fields = (exc.min_eigenvalue, exc.hermiticity_defect, str(exc))
+                record("not_positive", f"{label} tol={tol!r}", repr(fields).encode())
+                continue
+            payload = repr(kd.coefficients).encode() + b"".join(v.tobytes() for v in kd.ops)
+            record("kraus", f"{label} tol={tol!r}", payload)
+
+    for kind, digest in digests.items():
+        print(f"{kind:<13} {counts[kind]:>4}  {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

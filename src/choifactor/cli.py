@@ -132,6 +132,20 @@ def _cmd_spectral(args) -> tuple[dict, bool]:
     return doc, True
 
 
+def _int_at_least(low: int):
+    # argparse type: an integer >= low, else a usage error with exit 2
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="choifactor",
@@ -160,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("cp", _cmd_cp, "five-way complete positivity report", verdict=True)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--trials", type=int, default=64)
+    p.add_argument("--trials", type=_int_at_least(0), default=64)
     p.add_argument("--seed", type=int, default=42)
 
     p = add("kraus", _cmd_kraus, "Kraus operators from the dual Choi operator",
@@ -169,13 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("positive", _cmd_positive, "positivity certificate via product pairings",
             verdict=True)
-    p.add_argument("--restarts", type=int, default=32)
+    p.add_argument("--restarts", type=_int_at_least(1), default=32)
     p.add_argument("--iters", type=int, default=500)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--oracle", action="store_true",
                    help="confirm with the dense grid search (n = 2 only)")
-    p.add_argument("--resolution", type=int, default=90)
+    p.add_argument("--resolution", type=_int_at_least(1), default=90)
 
     p = add("spectral", _cmd_spectral, "spectral decomposition of an element file")
     p.add_argument("--tol", type=float, default=1e-9)

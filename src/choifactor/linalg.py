@@ -95,6 +95,41 @@ def _canonical_span_basis(cols: np.ndarray) -> np.ndarray:
     return np.stack(out, axis=1)
 
 
+def _descending_eigh(m, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
+    # eigh of the Hermitian part, eigenvalues descending, plus the scale
+    # max(1, opnorm(m)) that the Hermiticity check and the clusters use
+    m = as_complex(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    scale = max(1.0, opnorm(m))
+    defect = hermiticity_defect(m)
+    if defect > tol * scale:
+        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol * scale:.3e}")
+    w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
+    return w[::-1].copy(), v[:, ::-1].copy(), scale
+
+
+def _canonicalize(w: np.ndarray, v: np.ndarray, scale: float, above: float | None = None) -> None:
+    # In place: a canonical basis inside each (near-)degenerate cluster and a
+    # canonical phase on each of its columns, for every cluster, or with
+    # `above` only for those whose largest eigenvalue is not <= above (a NaN
+    # is kept, as by a caller keeping the columns with not c <= above).
+    # Clusters are cut over all of w either way, so a column's bits do not
+    # depend on `above`.
+    i = 0
+    k = len(w)
+    while i < k:
+        j = i + 1
+        while j < k and abs(w[j - 1] - w[j]) <= _CLUSTER_RTOL * scale:
+            j += 1
+        if above is None or not w[i] <= above:
+            if j - i > 1:
+                v[:, i:j] = _canonical_span_basis(v[:, i:j])
+            for c in range(i, j):
+                v[:, c] = canonical_phase(v[:, c])
+        i = j
+
+
 def hermitian_eig(m, tol: float = TOL_ALG) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic eigendecomposition of a Hermitian matrix.
 
@@ -104,29 +139,8 @@ def hermitian_eig(m, tol: float = TOL_ALG) -> tuple[np.ndarray, np.ndarray]:
     bitwise equal outputs. Raises NotHermitian if max |m - m*| exceeds
     tol * max(1, opnorm(m)).
     """
-    m = as_complex(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, opnorm(m))
-    defect = hermiticity_defect(m)
-    if defect > tol * scale:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol * scale:.3e}")
-    h = (m + dagger(m)) / 2.0
-    w, v = np.linalg.eigh(h)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    # canonical basis inside each (near-)degenerate cluster
-    i = 0
-    k = len(w)
-    while i < k:
-        j = i + 1
-        while j < k and abs(w[j - 1] - w[j]) <= _CLUSTER_RTOL * scale:
-            j += 1
-        if j - i > 1:
-            v[:, i:j] = _canonical_span_basis(v[:, i:j])
-        i = j
-    for c in range(k):
-        v[:, c] = canonical_phase(v[:, c])
+    w, v, scale = _descending_eigh(m, tol)
+    _canonicalize(w, v, scale)
     return w, v
 
 

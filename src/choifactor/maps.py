@@ -16,6 +16,7 @@ reshape(C, -1).
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,15 @@ from .errors import (
     RepMismatch,
 )
 from .factor import FactorRep, implementer_from_vector, make_factor
-from .linalg import as_complex, dagger, hermitian_eig, hermiticity_defect, opnorm, scaled_tol
+from .linalg import (
+    _canonicalize,
+    _descending_eigh,
+    as_complex,
+    dagger,
+    hermiticity_defect,
+    opnorm,
+    scaled_tol,
+)
 from .projection_algebra import frozen_terms, state_sum
 
 
@@ -186,12 +195,14 @@ def kraus_decompose(
     d = dual_choi(phi, rep)
     defect = hermiticity_defect(d)
     herm = (d + dagger(d)) / 2.0
-    evals, evecs = hermitian_eig(herm, tol=max(tol, 1e-6))
+    evals, evecs, scale = _descending_eigh(herm, tol=max(tol, 1e-6))
     if defect > scaled_tol(defect, tol, d):
         raise NotPositive(float(evals[-1]), hermiticity_defect=defect,
                           message="dual Choi operator is not Hermitian")
     if evals[-1] < -tol:
         raise NotPositive(float(evals[-1]), hermiticity_defect=defect)
+    # only the eigenvectors kept below need their canonical basis and phase
+    _canonicalize(evals, evecs, scale, above=tol)
 
     pieces = []
     for j in range(len(evals)):
@@ -227,10 +238,11 @@ def _psd_within(m: np.ndarray, tol: float) -> tuple[bool, float]:
     return low >= -tol, low
 
 
-# Probes are evaluated in stacks of at most this many bytes per complex
-# (count, n^2, n^2) copy: all 65 default probes in one stack at n = 2, three
-# per stack at n = 6, one at a time at n = 8. Larger stacks would raise peak
-# memory at n >= 6, where one call per probe costs little anyway.
+# Random probes are evaluated in stacks of at most this many bytes per
+# complex (count, n^2, n^2) copy: all 64 default probes in one stack at
+# n = 2, three per stack at n = 6, one at a time at n = 8; E goes ahead in a
+# stack of its own. Larger stacks would raise peak memory at n >= 6, where
+# one call per probe costs little anyway.
 _STACK_BYTES = 1 << 16
 
 
@@ -260,6 +272,50 @@ class ExtensionReport:
     seed: int
 
 
+def _extension_probes(
+    phi: PairSumMap, trials: int, rep: FactorRep, seed: int
+) -> Iterator[tuple[float, float]]:
+    # The probe pass of extension_positivity_check. Yields the running worst
+    # (lowest) output eigenvalue and worst relative output defect after E,
+    # which is a stack of its own, and after each stack of random probes.
+    # Both running values are monotone and exact at every yield, so the
+    # first yield that fails the tolerance decides the whole pass.
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials!r}")
+    rng = np.random.default_rng(seed)
+    n = phi.n
+    dim = n * n
+    t_rows = transfer(phi).T
+    x0 = rep.state_vector
+    per_stack = max(1, _STACK_BYTES // (16 * dim * dim))  # complex128 entries
+    x = np.outer(x0, np.conj(x0))[None]
+    drawn = 0
+    worst_low = np.inf
+    worst_defect = 0.0
+    while True:
+        out = _blocks_as_rows(_blocks_as_rows(x, n) @ t_rows, n)
+        adj = np.conj(out).swapaxes(1, 2)
+        defects = np.max(np.abs(out - adj), axis=(1, 2))
+        evals = np.linalg.eigvalsh((out + adj) / 2.0)
+        # max |eigenvalue| shrunk by far more than the eigensolver's and the
+        # SVD's rounding, so each bound stays above defect / max(1, ||out||)
+        bounds = defects / np.maximum(1.0, np.max(np.abs(evals), axis=1) * (1.0 - 1e-10))
+        for j, bound in enumerate(bounds.tolist()):
+            if bound > worst_defect:
+                worst_defect = max(worst_defect, float(defects[j]) / max(1.0, opnorm(out[j])))
+        worst_low = min([worst_low] + evals[:, 0].tolist())
+        yield worst_low, worst_defect
+        if drawn == trials:
+            return
+        count = min(per_stack, trials - drawn)
+        x = _random_psd(rng, count, dim)
+        drawn += count
+
+
+def _within(low: float, defect: float, tol: float) -> bool:
+    return low >= -tol and defect <= tol
+
+
 def extension_positivity_check(
     phi: PairSumMap,
     trials: int = 64,
@@ -275,45 +331,22 @@ def extension_positivity_check(
     sum_i (1(x)A_i) X (1(x)B_i) is phi(X_ij), so the output is the
     amplification (identity (x) phi)(X), computed with the transfer
     matrix. Reports the worst (lowest) output eigenvalue and the worst
-    output Hermiticity defect relative to max(1, ||out||).
+    output Hermiticity defect relative to max(1, ||out||), over every
+    probe. Raises ValueError when trials < 0.
 
-    Probes are drawn, multiplied and diagonalized in stacks of up to 64 KB
-    per copy. Since ||out|| >= ||(out + out*)/2|| = max |eigenvalue|, the
-    eigenvalues already give an upper bound on each probe's relative
-    defect, and ||out|| is computed only for probes whose bound exceeds
-    the worst defect so far.
+    E is evaluated first, then the random probes are drawn, multiplied and
+    diagonalized in stacks of up to 64 KB per copy. Since
+    ||out|| >= ||(out + out*)/2|| = max |eigenvalue|, the eigenvalues
+    already give an upper bound on each probe's relative defect, and
+    ||out|| is computed only for probes whose bound exceeds the worst
+    defect so far.
     """
     rep = _resolve_rep(phi, rep)
-    rng = np.random.default_rng(seed)
-    n = phi.n
-    dim = n * n
-    t_rows = transfer(phi).T
-    x0 = rep.state_vector
-    per_stack = max(1, _STACK_BYTES // (16 * dim * dim))  # complex128 entries
-    worst_low = np.inf
-    worst_defect = 0.0
-    for start in range(0, trials + 1, per_stack):
-        count = min(per_stack, trials + 1 - start)
-        if start:
-            x = _random_psd(rng, count, dim)
-        else:  # E leads the first stack
-            x = np.concatenate([np.outer(x0, np.conj(x0))[None], _random_psd(rng, count - 1, dim)])
-        out = _blocks_as_rows(_blocks_as_rows(x, n) @ t_rows, n)
-        adj = np.conj(out).swapaxes(1, 2)
-        defects = np.max(np.abs(out - adj), axis=(1, 2))
-        evals = np.linalg.eigvalsh((out + adj) / 2.0)
-        # max |eigenvalue| shrunk by far more than the eigensolver's and the
-        # SVD's rounding, so each bound stays above defect / max(1, ||out||)
-        bounds = defects / np.maximum(1.0, np.max(np.abs(evals), axis=1) * (1.0 - 1e-10))
-        for j, bound in enumerate(bounds.tolist()):
-            if bound > worst_defect:
-                worst_defect = max(worst_defect, float(defects[j]) / max(1.0, opnorm(out[j])))
-        worst_low = min([worst_low] + evals[:, 0].tolist())
-    ok = worst_low >= -tol and worst_defect <= tol
+    *_, (low, defect) = _extension_probes(phi, trials, rep, seed)
     return ExtensionReport(
-        positive=bool(ok),
-        min_eigenvalue=float(worst_low),
-        hermiticity_defect=float(worst_defect),
+        positive=_within(low, defect, tol),
+        min_eigenvalue=float(low),
+        hermiticity_defect=float(defect),
         trials=trials,
         seed=seed,
     )
@@ -354,13 +387,18 @@ def check_cp(
 
     In finite dimension the lifted formula of (2) applied to X is
     (identity (x) phi)(X), so (1) and (2) read their verdict from one
-    probe pass of extension_positivity_check.
+    probe pass, the one of extension_positivity_check. Here the pass ends
+    at the first probe that fails: the running worst eigenvalue and defect
+    only get worse, so the remaining probes cannot change the verdict.
+    extension_positivity_check itself still evaluates and reports every
+    probe.
 
-    Raises InternalDisagreement when the verdicts conflict.
+    Raises InternalDisagreement when the verdicts conflict, and ValueError
+    when trials < 0.
     """
     rep = _resolve_rep(phi, rep)
-    ext = extension_positivity_check(phi, trials=trials, tol=tol, rep=rep, seed=seed)
-    amp_ok = ext.positive
+    ext_ok = all(_within(low, defect, tol)
+                 for low, defect in _extension_probes(phi, trials, rep, seed))
 
     kraus_ok = False
     try:
@@ -376,11 +414,11 @@ def check_cp(
     dual_ok, dual_low = _psd_within(dual_choi(phi, rep), tol)
     choi_ok, choi_low = _psd_within(choi(phi), tol)
 
-    verdicts = (amp_ok, ext.positive, kraus_ok, dual_ok, choi_ok)
+    verdicts = (ext_ok, ext_ok, kraus_ok, dual_ok, choi_ok)
     report = CpReport(
         cp=all(verdicts),
-        amplification_positive=amp_ok,
-        extension_positive=ext.positive,
+        amplification_positive=ext_ok,
+        extension_positive=ext_ok,
         kraus_exists=kraus_ok,
         dual_choi_psd=dual_ok,
         choi_psd=choi_ok,

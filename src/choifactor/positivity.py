@@ -81,6 +81,11 @@ def _check_descent(value: float, previous: float, scale: float) -> None:
         )
 
 
+def _check_restarts(restarts: int) -> None:
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts!r}")
+
+
 def seesaw_product_min(
     d,
     restarts: int = 32,
@@ -95,7 +100,9 @@ def seesaw_product_min(
     than tol. Restart r draws its starting vector from
     default_rng(seed + r); the best restart wins, ties to the lowest
     index. Heuristic: a value above -tol does not prove positivity.
+    Raises ValueError when restarts < 1.
     """
+    _check_restarts(restarts)
     d = as_complex(d)
     n = _side_dim(d)
     scale = max(1.0, opnorm(d))
@@ -144,12 +151,14 @@ def brute_product_min(d, resolution: int = 90) -> tuple[float, np.ndarray, np.nd
     Sweeps u over a resolution^2 grid of Bloch angles (theta from 0 to pi
     inclusive, phi over a full turn) and minimizes exactly over v for each
     u. Accuracy is O(1/resolution); other dimensions raise
-    UnsupportedDimension.
+    UnsupportedDimension, and resolution < 1 raises ValueError.
     """
     d = as_complex(d)
     n = _side_dim(d)
     if n != 2:
         raise UnsupportedDimension("the dense grid oracle is implemented for n = 2 only")
+    if resolution < 1:
+        raise ValueError(f"resolution must be >= 1, got {resolution!r}")
     d = (d + dagger(d)) / 2.0
     d4 = d.reshape(2, 2, 2, 2)
 
@@ -231,8 +240,10 @@ def check_positive(
     below -tol is cross-checked by applying phi to the witness rank-one
     input, which must show a negative output eigenvalue (else the verdict
     degrades to inconclusive). With oracle=True (n = 2 only) the grid
-    search confirms or overrides the seesaw.
+    search confirms or overrides the seesaw. Raises ValueError when
+    restarts < 1, whichever method decides.
     """
+    _check_restarts(restarts)
     rep = _resolve_rep(phi, rep)
     d = dual_choi(phi, rep)
 

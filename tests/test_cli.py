@@ -134,6 +134,22 @@ def test_cli_huge_entries_never_end_in_a_traceback(tmp_path, cmd, name):
         assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cp", "--trials", "-1"],
+    ["positive", "--restarts", "0"],
+    ["positive", "--restarts", "-3"],
+    ["positive", "--oracle", "--resolution", "0"],
+    ["cp", "--trials", "many"],
+])
+def test_cli_out_of_range_options_exit_2(argv):
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv + [str(DATA / "transpose.json")])
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}:" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
 def test_cli_missing_file_exits_2():
     code, out, err = run_cli(["choi", str(DATA / "no_such_file.json")])
     assert code == 2

@@ -3,6 +3,7 @@ import pytest
 
 from choifactor import (
     DimensionMismatch,
+    InternalDisagreement,
     NotPositive,
     NotTracial,
     PairSumElement,
@@ -17,6 +18,7 @@ from choifactor import (
     embed,
     extension_positivity_check,
     identity_map,
+    implementer_from_vector,
     kraus_apply,
     kraus_decompose,
     make_factor,
@@ -29,7 +31,9 @@ from choifactor import (
     transfer,
     transpose_map,
 )
-from choifactor.maps import _random_psd
+from choifactor import maps
+from choifactor.linalg import hermitian_eig, hermiticity_defect
+from choifactor.maps import _STACK_BYTES, _extension_probes, _random_psd
 from helpers import cgauss, matrix_unit, random_cp_map, random_hp_map, random_map
 
 TRACIAL2 = make_factor(2)
@@ -504,3 +508,190 @@ def test_adjoint_choi_symmetry_zero_map():
     assert report.swap_transpose_error == 0.0
     assert report.conjugation_error == 0.0
     assert report.positivity_agree
+
+
+# ---------------------------------------------------------------- early exit
+
+
+def _haar(rng, n):
+    q, r = np.linalg.qr(cgauss(rng, n, n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _transpose_type(rng, n):
+    # C -> U (W C W*)^T U*, never CP
+    u, w = _haar(rng, n), _haar(rng, n)
+    return PairSumMap(n, tuple((u @ matrix_unit(n, i, j) @ w,
+                                w.conj().T @ matrix_unit(n, i, j) @ u.conj().T)
+                               for i in range(n) for j in range(n)))
+
+
+def _reduction_type(rng, n, k):
+    # k - 1 Kraus terms minus one unitary conjugation, never CP
+    return map_sum(random_cp_map(rng, n, k - 1), map_scale(conjugation_map(_haar(rng, n)), -1.0))
+
+
+def _cp_sweep_maps(rng, n):
+    # one map of each cp_sweep family: Kraus, transpose-type, reduction-type,
+    # sign-mixed conjugations, and unpaired terms (not Hermiticity-preserving);
+    # plus a Kraus map times 1 + 1e-3 i, whose outputs fail on their defect
+    # alone, the Hermitian part staying psd
+    return [random_cp_map(rng, n, n), _transpose_type(rng, n), _reduction_type(rng, n, n),
+            random_hp_map(rng, n, n), random_map(rng, n, n),
+            map_scale(random_cp_map(rng, n, 2), 1 + 1e-3j)]
+
+
+def _cp_report(phi, rep, **kw):
+    try:
+        return check_cp(phi, rep=rep, **kw)
+    except InternalDisagreement as exc:
+        return exc.report
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_early_exit_keeps_the_extension_verdict(n, weighted):
+    rng = np.random.default_rng(110 + n)
+    rep = make_factor(n, rng.uniform(0.2, 1.0, n)) if weighted else make_factor(n)
+    maps_ = _cp_sweep_maps(rng, n)
+    if n <= 3 and not weighted:
+        # the near-boundary band, t log-spaced across (tol/n, n tol)
+        maps_ += [_band_map(n, t) for t in np.geomspace(1e-9 / n, n * 1e-9, 8)]
+    for phi in maps_:
+        for trials, seed in ((64, 42), (5, 3)):
+            report = _cp_report(phi, rep, trials=trials, seed=seed)
+            ext = extension_positivity_check(phi, trials=trials, rep=rep, seed=seed)
+            assert report.extension_positive == ext.positive
+            assert report.amplification_positive == ext.positive
+
+
+@pytest.mark.parametrize("n, trials", [(6, 64), (6, 7), (8, 12)])
+def test_probe_pass_yields_the_report_of_each_prefix(n, trials):
+    # E alone, then stacks of per_stack random probes: after the j-th yield
+    # the pass has seen exactly the probes of a check with that many trials
+    per_stack = max(1, _STACK_BYTES // (16 * n**4))
+    rng = np.random.default_rng(120 + n)
+    rep = make_factor(n, rng.uniform(0.2, 1.0, n))
+    for phi in (random_map(rng, n, 2), random_hp_map(rng, n, 2), _band_map(n, 1.5e-9)):
+        yields = list(_extension_probes(phi, trials, rep, seed=9))
+        prefixes = [0] + [min(trials, j * per_stack) for j in range(1, -(-trials // per_stack) + 1)]
+        assert len(yields) == len(prefixes)
+        for (low, defect), count in zip(yields, prefixes):
+            report = extension_positivity_check(phi, trials=count, rep=rep, seed=9)
+            assert (low, defect) == (report.min_eigenvalue, report.hermiticity_defect)
+
+
+def test_check_cp_on_the_transpose_draws_no_random_probe(monkeypatch):
+    calls = []
+    draw = maps._random_psd
+
+    def counting(rng, count, dim):
+        calls.append(count)
+        return draw(rng, count, dim)
+
+    monkeypatch.setattr(maps, "_random_psd", counting)
+    assert not check_cp(transpose_map(8)).cp
+    assert calls == []
+    # the counter sees the draws of a pass that runs to the end
+    assert check_cp(identity_map(4)).cp
+    assert sum(calls) == 64
+
+
+def test_negative_trials_are_refused():
+    for check in (check_cp, extension_positivity_check):
+        with pytest.raises(ValueError, match="trials"):
+            check(identity_map(2), trials=-1)
+    assert check_cp(transpose_map(2), trials=0).trials == 0
+
+
+# ------------------------------------------------ deferred canonicalization
+
+
+def _kraus_reference(phi, rep, tol):
+    # Kraus extraction on the public hermitian_eig, which canonicalizes every
+    # eigenvector before positivity is decided
+    d = dual_choi(phi, rep)
+    defect = hermiticity_defect(d)
+    evals, evecs = hermitian_eig((d + d.conj().T) / 2.0, tol=max(tol, 1e-6))
+    if defect > tol * max(1.0, np.linalg.norm(d, 2)):
+        raise NotPositive(float(evals[-1]), hermiticity_defect=defect,
+                          message="dual Choi operator is not Hermitian")
+    if evals[-1] < -tol:
+        raise NotPositive(float(evals[-1]), hermiticity_defect=defect)
+    pieces = [(float(c), np.sqrt(c) * implementer_from_vector(rep, evecs[:, j]))
+              for j, c in enumerate(evals) if c > tol]
+    pieces.sort(key=lambda cv: (-cv[0],) + tuple(np.concatenate(
+        [cv[1].real.reshape(-1), cv[1].imag.reshape(-1)])))
+    return [c for c, _ in pieces], [v for _, v in pieces]
+
+
+def _orthogonal_kraus_map(rng, rep, coefficients):
+    # C -> sum_j c_j S_j* C S_j with (1 (x) S_j) x orthonormal: the dual Choi
+    # operator has the c_j (and zeros) as its eigenvalues
+    n = rep.n
+    ys = _haar(rng, n * n)[:, : len(coefficients)]
+    ss = [implementer_from_vector(rep, ys[:, j]) for j in range(len(coefficients))]
+    return PairSumMap(n, tuple((c * s.conj().T, s) for c, s in zip(coefficients, ss)))
+
+
+def _clusters(evals, scale):
+    # runs of eigenvalues closer than the canonicalization's cluster width
+    runs, start = [], 0
+    for j in range(1, len(evals) + 1):
+        if j == len(evals) or abs(evals[j - 1] - evals[j]) > 1e-12 * scale:
+            runs.append(evals[start:j])
+            start = j
+    return runs
+
+
+def _assert_kraus_matches_reference(phi, rep, tol):
+    coefficients, ops = _kraus_reference(phi, rep, tol)
+    kd = kraus_decompose(phi, rep, tol=tol)
+    assert list(kd.coefficients) == coefficients
+    assert len(kd.ops) == len(ops)
+    for got, want in zip(kd.ops, ops):
+        assert np.array_equal(got, want)
+
+
+def test_deferred_canonicalization_degenerate_kept_cluster():
+    rng = np.random.default_rng(127)
+    for rep in (make_factor(3), make_factor(3, [0.2, 0.3, 0.5]), make_factor(4)):
+        phi = _orthogonal_kraus_map(rng, rep, np.ones(rep.n + 1))
+        evals = np.linalg.eigvalsh(dual_choi(phi, rep))[::-1]
+        assert [len(run) for run in _clusters(evals, 1.0)] == [rep.n + 1, rep.n**2 - rep.n - 1]
+        _assert_kraus_matches_reference(phi, rep, 1e-9)
+
+
+def test_deferred_canonicalization_large_null_cluster():
+    rng = np.random.default_rng(131)
+    for rep in (make_factor(8), make_factor(8, rng.uniform(0.2, 1.0, 8))):
+        phi = conjugation_map(cgauss(rng, 8, 8))
+        _assert_kraus_matches_reference(phi, rep, 1e-9)
+        assert len(kraus_decompose(phi, rep)) == 1
+
+
+def test_deferred_canonicalization_cluster_straddling_tol():
+    tol = 1e-3
+    rep = make_factor(3, [0.2, 0.3, 0.5])
+    phi = _orthogonal_kraus_map(np.random.default_rng(139), rep,
+                                [1.0, 1.0, 0.5, tol + 5e-14, tol - 5e-14])
+    evals = np.linalg.eigvalsh(dual_choi(phi, rep))[::-1]
+    straddling = [run for run in _clusters(evals, 1.0) if run[0] > tol >= run[-1]]
+    assert len(straddling) == 1 and len(straddling[0]) == 2
+    _assert_kraus_matches_reference(phi, rep, tol)
+    assert len(kraus_decompose(phi, rep, tol=tol)) == 4
+
+
+def test_deferred_canonicalization_not_positive_fields():
+    rng = np.random.default_rng(137)
+    for n in (2, 3, 8):
+        rep = make_factor(n, rng.uniform(0.2, 1.0, n))
+        for phi in (transpose_map(n), random_hp_map(rng, n, 3), random_map(rng, n, 2)):
+            for tol in (1e-9, 1e-3):
+                with pytest.raises(NotPositive) as want:
+                    _kraus_reference(phi, rep, tol)
+                with pytest.raises(NotPositive) as got:
+                    kraus_decompose(phi, rep, tol=tol)
+                assert got.value.min_eigenvalue == want.value.min_eigenvalue
+                assert got.value.hermiticity_defect == want.value.hermiticity_defect
+                assert str(got.value) == str(want.value)

@@ -262,3 +262,18 @@ def test_seesaw_reports_overflow_as_numerical_failure():
     phi = PairSumMap(2, ((big, big),))
     with pytest.raises(NumericalFailure):
         check_positive(phi)
+
+
+def test_restarts_and_resolution_below_one_are_refused():
+    d = dual_choi(transpose_map(2), TRACIAL2)
+    with pytest.raises(ValueError, match="restarts"):
+        seesaw_product_min(d, restarts=0)
+    # refused also where the direct witness would decide without a restart
+    rng = np.random.default_rng(151)
+    non_hp = PairSumMap(2, ((cgauss(rng, 2, 2), cgauss(rng, 2, 2)),))
+    for phi in (transpose_map(2), non_hp):
+        with pytest.raises(ValueError, match="restarts"):
+            check_positive(phi, restarts=0)
+    with pytest.raises(ValueError, match="resolution"):
+        brute_product_min(d, resolution=0)
+    assert seesaw_product_min(d, restarts=1).verdict == "positive"
