@@ -9,8 +9,9 @@ or with PYTHONPATH=src):
 The cases are random, completely positive, Hermiticity-preserving,
 transpose-type, rank-one, equal-weight orthogonal Kraus and near-boundary
 band (identity + t * transpose, t across (tol/n, n * tol)) maps at
-n in {2, 3, 4, 6, 8}, at uniform and at non-uniform weights. Four digests
-are printed, each with the number of records behind it:
+n in {2, 3, 4, 6, 8}, at uniform and at non-uniform weights, plus
+self-adjoint, projection and non-self-adjoint elements at n in {2, 3, 4}.
+Six digests are printed, each with the number of records behind it:
 
     check_cp      repr of the CpReport, or of the report carried by
                   InternalDisagreement, at trials in {0, 1, 4, 64}
@@ -19,9 +20,16 @@ are printed, each with the number of records behind it:
                   at tol in {1e-9, 1e-3}
     not_positive  min_eigenvalue, hermiticity_defect and message of the
                   NotPositive raised instead, at the same tolerances
+    positive      fields and witness bytes of the check_positive certificate
+                  at n in {2, 3}, restarts in {1, 32}, with the grid oracle
+                  at n = 2; the random maps do not preserve Hermiticity
+                  and take the direct path
+    spectral      coefficients and implementer bytes of spectral_decompose,
+                  or the error it raises, and for the projections the term
+                  bytes of rank_one_subprojection
 
 A change meant to leave every report bit for bit as it was prints the
-same four lines before and after; compare the output of two checkouts
+same six lines before and after; compare the output of two checkouts
 (and of one and two BLAS threads). It complements
 `scripts/make_goldens.py --check`, which covers the CLI at n = 2 only.
 """
@@ -34,14 +42,21 @@ import numpy as np
 from choifactor import (
     InternalDisagreement,
     NotPositive,
+    ChoiFactorError,
+    PairSumElement,
     PairSumMap,
     check_cp,
+    check_positive,
+    element_scale,
     extension_positivity_check,
+    identity_element,
     identity_map,
     kraus_decompose,
     make_factor,
     map_scale,
     map_sum,
+    rank_one_subprojection,
+    spectral_decompose,
     transpose_map,
 )
 
@@ -51,6 +66,9 @@ CP_TRIALS = (0, 1, 4, 64)
 EXTENSION_TRIALS = (0, 1, 2, 3, 4, 64)
 KRAUS_TOLS = (1e-9, 1e-3)
 BAND_CELLS = 6
+POSITIVE_SIZES = (2, 3)
+POSITIVE_RESTARTS = (1, 32)
+SPECTRAL_SIZES = (2, 3, 4)
 
 
 def _cgauss(rng, *shape):
@@ -100,8 +118,31 @@ def cases():
                 yield f"band n={n} t={t!r}", phi, make_factor(n)
 
 
+def elements():
+    """(label, element, is_projection) triples in a fixed order."""
+    rng = np.random.default_rng(20142)
+    for n in SPECTRAL_SIZES:
+        units = _weyl(n)
+        reps = (("tracial", make_factor(n)), ("weighted", make_factor(n, rng.uniform(0.2, 1.0, n))))
+        for weighting, rep in reps:
+            pairs = [(_cgauss(rng, n, n), _cgauss(rng, n, n)) for _ in range(2)]
+            selfadjoint = tuple(t for a, b in pairs for t in ((a, b), (np.conj(b).T, np.conj(a).T)))
+            a = _cgauss(rng, n, n)
+            tag = f"n={n} {weighting}"
+            yield f"selfadjoint {tag}", PairSumElement(rep, selfadjoint), False
+            yield f"selfadjoint_large {tag}", element_scale(PairSumElement(rep, selfadjoint), 1e3), False
+            yield f"psd {tag}", PairSumElement(rep, ((a, np.conj(a).T),) + selfadjoint[:2]), False
+            yield f"identity {tag}", identity_element(rep), True
+            # orthonormal (1(x)U)x at uniform weights: a rank-(n+1) projection
+            weyl = PairSumElement(rep, tuple((u, np.conj(u).T) for u in units[: n + 1]))
+            yield f"weyl {tag}", weyl, rep.tracial
+            yield f"weyl_doubled {tag}", element_scale(weyl, 2.0), False
+            yield f"not_selfadjoint {tag}", PairSumElement(rep, selfadjoint[:1]), False
+
+
 def main() -> int:
-    digests = {kind: hashlib.sha256() for kind in ("check_cp", "extension", "kraus", "not_positive")}
+    kinds = ("check_cp", "extension", "kraus", "not_positive", "positive", "spectral")
+    digests = {kind: hashlib.sha256() for kind in kinds}
     counts = dict.fromkeys(digests, 0)
 
     def record(kind, label, payload):
@@ -127,6 +168,25 @@ def main() -> int:
                 continue
             payload = repr(kd.coefficients).encode() + b"".join(v.tobytes() for v in kd.ops)
             record("kraus", f"{label} tol={tol!r}", payload)
+        if phi.n in POSITIVE_SIZES:
+            for restarts in POSITIVE_RESTARTS:
+                cert = check_positive(phi, rep, restarts=restarts, tol=TOL, seed=restarts,
+                                      oracle=phi.n == 2)
+                fields = (cert.verdict, cert.value, cert.method, cert.seed, cert.pairing_imag)
+                payload = repr(fields).encode() + cert.witness_u.tobytes() + cert.witness_v.tobytes()
+                record("positive", f"{label} restarts={restarts}", payload)
+
+    for label, element, is_projection in elements():
+        try:
+            sd = spectral_decompose(element, tol=TOL)
+            payload = repr([c for c, _ in sd.items]).encode() + b"".join(
+                s.tobytes() for _, s in sd.items)
+        except ChoiFactorError as exc:
+            payload = f"{type(exc).__name__}: {exc}".encode()
+        if is_projection:
+            sub = rank_one_subprojection(element)
+            payload += b"".join(a.tobytes() + b.tobytes() for a, b in sub.terms)
+        record("spectral", label, payload)
 
     for kind, digest in digests.items():
         print(f"{kind:<13} {counts[kind]:>4}  {digest.hexdigest()}")

@@ -201,8 +201,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc, ok = args.func(args)
-        text = formats.dumps(doc, pretty=args.pretty)
+        # overflowed operators end in an error line, not in numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            doc, ok = args.func(args)
+            text = formats.dumps(doc, pretty=args.pretty)
     except InternalDisagreement as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

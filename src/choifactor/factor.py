@@ -20,6 +20,15 @@ from .errors import BadWeights, DimensionMismatch, NotTracial
 from .linalg import as_complex, dagger, kron
 
 
+def _positive_weights(n: int, weights) -> np.ndarray:
+    w = np.asarray(weights, dtype=np.float64).reshape(-1)
+    if w.shape[0] != n:
+        raise BadWeights(f"expected {n} weights, got {w.shape[0]}")
+    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+        raise BadWeights("weights must be finite and strictly positive")
+    return w
+
+
 @dataclass(frozen=True, eq=False)
 class FactorRep:
     """Dimension plus the weight vector of the standard vector."""
@@ -28,11 +37,7 @@ class FactorRep:
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64).reshape(-1).copy()
-        if w.shape[0] != self.n:
-            raise BadWeights(f"expected {self.n} weights, got {w.shape[0]}")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise BadWeights("weights must be finite and strictly positive")
+        w = _positive_weights(self.n, self.weights).copy()
         if abs(float(w.sum()) - 1.0) > 1e-9:
             raise BadWeights(f"weights must sum to 1, got {w.sum()!r}")
         w.setflags(write=False)
@@ -69,11 +74,8 @@ def make_factor(n: int, weights="tracial") -> FactorRep:
             raise BadWeights(f"unknown weight preset {weights!r}")
         w = np.full(n, 1.0 / n)
     else:
-        w = np.asarray(weights, dtype=np.float64).reshape(-1)
-        if w.shape[0] != n:
-            raise BadWeights(f"expected {n} weights, got {w.shape[0]}")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise BadWeights("weights must be finite and strictly positive")
+        # checked before normalizing, or (-1, -1) would pass as (1/2, 1/2)
+        w = _positive_weights(n, weights)
         w = w / w.sum()
     return FactorRep(n=n, weights=w)
 

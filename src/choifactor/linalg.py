@@ -2,6 +2,12 @@
 
 All routines work on numpy arrays of dtype complex128 and are sized for
 small dimensions (products of matrix dimensions up to a few dozen).
+
+One Hermiticity rule serves the whole package: m counts as Hermitian
+within tol when max |m - m*| is not above tol * max(1, opnorm(m)), and
+what is then tested or diagonalized is its Hermitian part (m + m*)/2.
+hermitian_part applies the rule and psd_within adds the test that the
+Hermitian part's lowest eigenvalue is >= -tol.
 """
 from __future__ import annotations
 
@@ -54,13 +60,30 @@ def scaled_tol(x: float, tol: float, m) -> float:
     return tol if x <= tol else tol * max(1.0, opnorm(m))
 
 
+def hermitian_part(m, tol: float) -> tuple[np.ndarray, float, bool]:
+    """(m + m*)/2, the defect max |m - m*|, and whether the defect is
+    within tol * max(1, opnorm(m)); the SVD runs only when defect > tol."""
+    m = as_complex(m)
+    defect = hermiticity_defect(m)
+    return (m + dagger(m)) / 2.0, defect, not defect > scaled_tol(defect, tol, m)
+
+
+def psd_within(m, tol: float) -> tuple[bool, float]:
+    """Whether m is Hermitian and psd within tol, and the lowest eigenvalue
+    of its Hermitian part."""
+    herm, _, hermitian = hermitian_part(m, tol)
+    low = float(np.linalg.eigvalsh(herm)[0])
+    return hermitian and low >= -tol, low
+
+
+def matrix_units(n: int) -> np.ndarray:
+    """The matrix units e_ij of M_n, stacked at index i*n + j."""
+    return np.eye(n * n, dtype=np.complex128).reshape(n * n, n, n)
+
+
 def leg_swap(n: int) -> np.ndarray:
     """Unitary exchanging the two tensor legs of C^n (x) C^n."""
-    w = np.zeros((n * n, n * n), dtype=np.complex128)
-    for i in range(n):
-        for k in range(n):
-            w[i * n + k, k * n + i] = 1.0
-    return w
+    return matrix_units(n).transpose(0, 2, 1).reshape(n * n, n * n)
 
 
 def canonical_phase(v: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -96,16 +119,17 @@ def _canonical_span_basis(cols: np.ndarray) -> np.ndarray:
 
 
 def _descending_eigh(m, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
-    # eigh of the Hermitian part, eigenvalues descending, plus the scale
-    # max(1, opnorm(m)) that the Hermiticity check and the clusters use
+    # eigh of the Hermitian part, eigenvalues descending, plus the cluster
+    # scale max(1, max |eigenvalue|)
     m = as_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, opnorm(m))
-    defect = hermiticity_defect(m)
-    if defect > tol * scale:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol * scale:.3e}")
-    w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
+    herm, defect, hermitian = hermitian_part(m, tol)
+    if not hermitian:
+        bound = tol * max(1.0, opnorm(m))
+        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {bound:.3e}")
+    w, v = np.linalg.eigh(herm)
+    scale = max(1.0, float(np.max(np.abs(w), initial=0.0)))
     return w[::-1].copy(), v[:, ::-1].copy(), scale
 
 

@@ -34,8 +34,10 @@ from .linalg import (
     _descending_eigh,
     as_complex,
     dagger,
-    hermiticity_defect,
+    hermitian_part,
+    matrix_units,
     opnorm,
+    psd_within,
     scaled_tol,
 )
 from .projection_algebra import frozen_terms, state_sum
@@ -63,24 +65,13 @@ def identity_map(n: int) -> PairSumMap:
 
 
 def transpose_map(n: int) -> PairSumMap:
-    terms = []
-    for i in range(n):
-        for j in range(n):
-            unit = np.zeros((n, n), dtype=np.complex128)
-            unit[i, j] = 1.0
-            terms.append((unit, unit))
-    return PairSumMap(n, tuple(terms))
+    return PairSumMap(n, tuple((u, u) for u in matrix_units(n)))
 
 
 def trace_map(n: int) -> PairSumMap:
     """C -> Tr(C) I / n."""
-    terms = []
-    for i in range(n):
-        for j in range(n):
-            unit_ij = np.zeros((n, n), dtype=np.complex128)
-            unit_ij[i, j] = 1.0
-            terms.append((unit_ij / n, unit_ij.T.copy()))
-    return PairSumMap(n, tuple(terms))
+    units = matrix_units(n)
+    return PairSumMap(n, tuple(zip(units / n, units.transpose(0, 2, 1).copy())))
 
 
 def conjugation_map(v) -> PairSumMap:
@@ -192,11 +183,13 @@ def kraus_decompose(
     positive semidefinite within tol, which is exactly the non-CP case.
     """
     rep = _resolve_rep(phi, rep)
-    d = dual_choi(phi, rep)
-    defect = hermiticity_defect(d)
-    herm = (d + dagger(d)) / 2.0
+    return _kraus_from_dual_choi(dual_choi(phi, rep), rep, tol)
+
+
+def _kraus_from_dual_choi(d: np.ndarray, rep: FactorRep, tol: float) -> KrausDecomposition:
+    herm, defect, hermitian = hermitian_part(d, tol)
     evals, evecs, scale = _descending_eigh(herm, tol=max(tol, 1e-6))
-    if defect > scaled_tol(defect, tol, d):
+    if not hermitian:
         raise NotPositive(float(evals[-1]), hermiticity_defect=defect,
                           message="dual Choi operator is not Hermitian")
     if evals[-1] < -tol:
@@ -226,16 +219,6 @@ def kraus_apply(kd: KrausDecomposition, c) -> np.ndarray:
     for v in kd.ops:
         out += dagger(v) @ c @ v
     return out
-
-
-def _psd_within(m: np.ndarray, tol: float) -> tuple[bool, float]:
-    # Hermitian within tol (relative) and min eigenvalue of the Hermitian
-    # part >= -tol. Returns (ok, min eigenvalue).
-    low = float(np.linalg.eigvalsh((m + dagger(m)) / 2.0)[0])
-    defect = hermiticity_defect(m)
-    if defect > scaled_tol(defect, tol, m):
-        return False, low
-    return low >= -tol, low
 
 
 # Random probes are evaluated in stacks of at most this many bytes per
@@ -400,9 +383,10 @@ def check_cp(
     ext_ok = all(_within(low, defect, tol)
                  for low, defect in _extension_probes(phi, trials, rep, seed))
 
+    d = dual_choi(phi, rep)
     kraus_ok = False
     try:
-        kd = kraus_decompose(phi, rep, tol=tol)
+        kd = _kraus_from_dual_choi(d, rep, tol)
     except NotPositive:
         kd = None
     if kd is not None:
@@ -411,8 +395,8 @@ def check_cp(
         worst = float(np.max(np.abs(t_kraus - t)))
         kraus_ok = worst <= scaled_tol(worst, 10.0 * max(tol, 1e-12), t)
 
-    dual_ok, dual_low = _psd_within(dual_choi(phi, rep), tol)
-    choi_ok, choi_low = _psd_within(choi(phi), tol)
+    dual_ok, dual_low = psd_within(d, tol)
+    choi_ok, choi_low = psd_within(choi(phi), tol)
 
     verdicts = (ext_ok, ext_ok, kraus_ok, dual_ok, choi_ok)
     report = CpReport(
@@ -469,11 +453,12 @@ def adjoint_choi_symmetry(
     swapped_t = c4.transpose(3, 2, 1, 0).reshape(c.shape)  # W c^T W
     swapped = c4.transpose(1, 0, 3, 2).reshape(c.shape)  # W c W
     swap_err = float(np.max(np.abs(c_adj - swapped_t)))
-    defect = hermiticity_defect(c)
-    hermitian = defect <= scaled_tol(defect, tol, c)
+    _, defect, hermitian = hermitian_part(c, tol)
+    # a NaN (overflowed) defect passes the rule but is not reported Hermitian
+    hermitian = hermitian and not np.isnan(defect)
     conj_err = float(np.max(np.abs(c_adj - np.conj(swapped)))) if hermitian else None
-    _, low_c = _psd_within(c, tol)
-    _, low_a = _psd_within(c_adj, tol)
+    _, low_c = psd_within(c, tol)
+    _, low_a = psd_within(c_adj, tol)
     agree = (low_c >= -tol) == (low_a >= -tol) if hermitian else True
     return AdjointSymmetryReport(
         swap_transpose_error=swap_err,

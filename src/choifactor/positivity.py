@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, NumericalFailure, UnsupportedDimension
 from .factor import FactorRep
-from .linalg import as_complex, canonical_phase, dagger, hermiticity_defect, opnorm, scaled_tol
+from .linalg import as_complex, canonical_phase, dagger, hermitian_part, opnorm, psd_within
 from .maps import PairSumMap, _resolve_rep, apply_map, choi, dual_choi
 
 
@@ -106,9 +106,9 @@ def seesaw_product_min(
     d = as_complex(d)
     n = _side_dim(d)
     scale = max(1.0, opnorm(d))
-    if hermiticity_defect(d) > 1e-9 * scale:
+    d, _, hermitian = hermitian_part(d, 1e-9)
+    if not hermitian:
         raise NotHermitian("seesaw needs a Hermitian pairing operator")
-    d = (d + dagger(d)) / 2.0
     d4 = d.reshape(n, n, n, n)
 
     best: tuple[float, np.ndarray, np.ndarray] | None = None
@@ -159,8 +159,8 @@ def brute_product_min(d, resolution: int = 90) -> tuple[float, np.ndarray, np.nd
         raise UnsupportedDimension("the dense grid oracle is implemented for n = 2 only")
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution!r}")
-    d = (d + dagger(d)) / 2.0
-    d4 = d.reshape(2, 2, 2, 2)
+    # the grid minimizes over the Hermitian part, whatever the defect
+    d4 = hermitian_part(d, np.inf)[0].reshape(2, 2, 2, 2)
 
     theta = np.linspace(0.0, np.pi, resolution)
     phi = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
@@ -247,9 +247,7 @@ def check_positive(
     rep = _resolve_rep(phi, rep)
     d = dual_choi(phi, rep)
 
-    c = choi(phi)
-    defect = hermiticity_defect(c)
-    if defect > scaled_tol(defect, tol, c):
+    if not hermitian_part(choi(phi), tol)[2]:
         return _direct_hermiticity_witness(phi, rep, d, seed)
 
     cert = seesaw_product_min(d, restarts=restarts, iters=iters, tol=tol, seed=seed)
@@ -267,7 +265,7 @@ def check_positive(
     value = float(np.real(product_pairing(d, u, v)))
     if value < -tol:
         out = apply_map(phi, np.outer(v, np.conj(v)))
-        low = float(np.linalg.eigvalsh((out + dagger(out)) / 2.0)[0])
+        _, low = psd_within(out, tol / 2.0)
         verdict = "not-positive" if low < -tol / 2.0 else "inconclusive"
     else:
         verdict = "positive"

@@ -28,7 +28,8 @@ from .factor import (
     implementer_from_vector,
     vector_state,
 )
-from .linalg import TOL_ALG, as_complex, dagger, hermitian_eig, opnorm, subspace_coeffs
+from .linalg import (TOL_ALG, as_complex, dagger, hermitian_eig, hermitian_part, matrix_units,
+                     opnorm, subspace_coeffs)
 
 # Relative gap below which kept eigenvalues share one spectral projection.
 _SPECTRAL_CLUSTER_RTOL = 1e-8
@@ -76,15 +77,10 @@ def zero_element(rep: FactorRep) -> PairSumElement:
 
 def identity_element(rep: FactorRep) -> PairSumElement:
     """The identity of B(H), which is finite rank here, as a term list."""
-    n = rep.n
-    terms = []
-    for k in range(n):
-        for l in range(n):
-            unit_lk = np.zeros((n, n), dtype=np.complex128)
-            unit_lk[l, k] = 1.0
-            s = unit_lk / np.sqrt(rep.weights[k])
-            terms.append((s, dagger(s)))
-    return PairSumElement(rep, tuple(terms))
+    # term k*n + l is (S, S*) with S = e_lk / sqrt(w_k)
+    scales = np.sqrt(np.repeat(rep.weights, rep.n))[:, None, None]
+    ss = matrix_units(rep.n).transpose(0, 2, 1) / scales
+    return PairSumElement(rep, tuple((s, dagger(s)) for s in ss))
 
 
 def _check_same_rep(e1: PairSumElement, e2: PairSumElement) -> None:
@@ -167,17 +163,6 @@ def compress(e: PairSumElement, tol: float = TOL_ALG) -> PairSumElement:
     return PairSumElement(e.rep, terms)
 
 
-def _projection_checks(m: np.ndarray, tol: float) -> float:
-    scale = max(1.0, opnorm(m))
-    herm = float(np.max(np.abs(m - dagger(m))))
-    idem = float(np.max(np.abs(m @ m - m)))
-    if herm > tol * scale or idem > tol * scale:
-        raise NotAProjection(
-            f"hermiticity defect {herm:.3e}, idempotency defect {idem:.3e}"
-        )
-    return scale
-
-
 def rank_one_subprojection(p: PairSumElement, tol: float = TOL_ALG) -> PairSumElement:
     """A rank-one projection below p, still in term-list form.
 
@@ -186,20 +171,20 @@ def rank_one_subprojection(p: PairSumElement, tol: float = TOL_ALG) -> PairSumEl
     construction runs through the symbolic product, so F <= p exactly.
     """
     m = materialize(p)
-    scale = _projection_checks(m, tol)
-    if opnorm(m) <= tol:
+    norm = opnorm(m)
+    _, herm, hermitian = hermitian_part(m, tol)
+    idem = float(np.max(np.abs(m @ m - m)))
+    if not hermitian or idem > tol * max(1.0, norm):
+        raise NotAProjection(f"hermiticity defect {herm:.3e}, idempotency defect {idem:.3e}")
+    if norm <= tol:
         raise ZeroProjection("projection is numerically zero")
-    n = p.rep.n
-    for i in range(n):
-        for j in range(n):
-            unit = np.zeros((n, n), dtype=np.complex128)
-            unit[i, j] = 1.0
-            w = m @ apply_factor_to_state(p.rep, unit)
-            wnorm2 = float(np.real(np.vdot(w, w)))
-            if wnorm2 > 1e-6 * scale:
-                middle = PairSumElement(p.rep, ((unit, dagger(unit)),))
-                f = element_product(element_product(p, middle), p)
-                return element_scale(f, 1.0 / wnorm2)
+    for unit in matrix_units(p.rep.n):
+        w = m @ apply_factor_to_state(p.rep, unit)
+        wnorm2 = float(np.real(np.vdot(w, w)))
+        if wnorm2 > 1e-6 * max(1.0, norm):
+            middle = PairSumElement(p.rep, ((unit, dagger(unit)),))
+            f = element_product(element_product(p, middle), p)
+            return element_scale(f, 1.0 / wnorm2)
     raise ZeroProjection("no matrix unit has a nonzero compression")
 
 
@@ -258,12 +243,11 @@ def spectral_decompose(t: PairSumElement, tol: float = 1e-9) -> SpectralDecompos
     of the frames (1(x)A_i) E (1(x)B_j) of the input's own terms; NotInSpan
     propagates if that fails.
     """
-    m = materialize(t)
-    scale = max(1.0, opnorm(m))
-    defect = float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
-    if defect > tol * scale:
+    herm, defect, hermitian = hermitian_part(materialize(t), tol)
+    if not hermitian:
         raise NotSelfAdjoint(f"self-adjointness defect {defect:.3e}")
-    evals, evecs = hermitian_eig((m + dagger(m)) / 2.0, tol=max(tol, TOL_ALG))
+    evals, evecs = hermitian_eig(herm, tol=max(tol, TOL_ALG))
+    scale = max(1.0, float(np.max(np.abs(evals), initial=0.0)))
     keep = [j for j in range(len(evals)) if abs(evals[j]) > tol]
 
     items = []

@@ -3,6 +3,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -132,6 +133,21 @@ def test_cli_huge_entries_never_end_in_a_traceback(tmp_path, cmd, name):
     if code == 2:
         assert out == ""
         assert "error:" in err
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_DOCS))
+def test_cli_huge_entries_print_only_the_error_line(tmp_path, name):
+    # overflow in numpy shows as the exit code and the error line, not as
+    # RuntimeWarnings on stderr
+    path = tmp_path / f"huge_{name}.json"
+    path.write_text(HUGE_DOCS[name], encoding="utf-8")
+    for cmd in ["choi", "dphi", "adjoint", "cp", "kraus", "positive", "spectral"]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli([cmd, str(path)])
+        assert [str(w.message) for w in caught] == []
+        if code == 2:
+            assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -30,7 +30,9 @@ def test_make_factor_normalizes():
     assert not rep.tracial
 
 
-@pytest.mark.parametrize("weights", [(1, 0), (1, -1), (1, 1, 1)])
+@pytest.mark.parametrize(
+    "weights", [(1, 0), (1, -1), (1, 1, 1), (-1, -1), (float("nan"), 1), (float("inf"), 1)]
+)
 def test_make_factor_bad_weights(weights):
     with pytest.raises(BadWeights):
         make_factor(2, weights)

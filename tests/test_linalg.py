@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from choifactor import DimensionMismatch, NotHermitian, NotInSpan
+from choifactor import DimensionMismatch, NotHermitian, NotInSpan, linalg
 from choifactor.linalg import (
+    _canonicalize,
     canonical_phase,
     hermitian_eig,
+    hermitian_part,
     kron,
     leg_swap,
     opnorm,
@@ -143,3 +145,65 @@ def test_scaled_tol_compares_like_the_full_threshold(tol):
             lazy = scaled_tol(x, tol, m)
             assert (x <= lazy) == (x <= full)
             assert (x > lazy) == (x > full)
+
+
+def _counting_opnorm(monkeypatch):
+    calls = []
+    norm = linalg.opnorm
+
+    def counting(m):
+        calls.append(1)
+        return norm(m)
+
+    monkeypatch.setattr(linalg, "opnorm", counting)
+    return calls
+
+
+def test_hermitian_part_verdict_matches_the_full_threshold(monkeypatch):
+    # tol placed just below, at and above the defect and the defect / ||m||,
+    # for ||m|| above and below 1
+    rng = np.random.default_rng(41)
+    calls = _counting_opnorm(monkeypatch)
+    for m in (5.0 * cgauss(rng, 4, 4), 0.1 * cgauss(rng, 4, 4),
+              random_hermitian(rng, 4) + 1e-9 * cgauss(rng, 4, 4)):
+        defect = float(np.max(np.abs(m - m.conj().T)))
+        norm = np.linalg.norm(m, 2)
+        for edge in (defect, defect / max(1.0, norm)):
+            for tol in (edge * (1 - 1e-12), edge, edge * (1 + 1e-12)):
+                calls.clear()
+                herm, got_defect, within = hermitian_part(m, tol)
+                assert np.array_equal(herm, (m + m.conj().T) / 2.0)
+                assert got_defect == defect
+                assert within == (not defect > tol * max(1.0, norm))
+                assert len(calls) == (defect > tol)
+
+
+def test_hermitian_eig_takes_no_svd_of_hermitian_input(monkeypatch):
+    rng = np.random.default_rng(43)
+    calls = _counting_opnorm(monkeypatch)
+    for m in (random_hermitian(rng, 9), 40.0 * random_hermitian(rng, 16), SWAP):
+        hermitian_eig(m)
+    assert calls == []
+
+
+def _hermitian_eig_reference(m, tol=1e-10):
+    # eigh of the Hermitian part, with the cluster scale taken from opnorm
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    w, v = w[::-1].copy(), v[:, ::-1].copy()
+    _canonicalize(w, v, max(1.0, opnorm(m)))
+    return w, v
+
+
+def test_hermitian_eig_degenerate_clusters_match_the_opnorm_scale():
+    rng = np.random.default_rng(47)
+    for spectrum in ([5.0] * 3 + [-3.0] * 2 + [2.0], [30.0] * 4 + [0.0] * 12, [-7.0] * 8 + [7.0]):
+        q, _ = np.linalg.qr(cgauss(rng, len(spectrum), len(spectrum)))
+        m = (q * spectrum) @ q.conj().T
+        m = (m + m.conj().T) / 2.0
+        assert np.linalg.norm(m, 2) > 1.0
+        want_w, want_v = _hermitian_eig_reference(m)
+        got_w, got_v = hermitian_eig(m)
+        assert np.array_equal(got_w, want_w)
+        assert np.array_equal(got_v, want_v)
+    for m in (3.0 * SWAP, 2.5 * np.kron(np.eye(3), SX)):
+        assert all(np.array_equal(g, w) for g, w in zip(hermitian_eig(m), _hermitian_eig_reference(m)))

@@ -31,7 +31,7 @@ from choifactor import (
     transfer,
     transpose_map,
 )
-from choifactor import maps
+from choifactor import linalg, maps
 from choifactor.linalg import hermitian_eig, hermiticity_defect
 from choifactor.maps import _STACK_BYTES, _extension_probes, _random_psd
 from helpers import cgauss, matrix_unit, random_cp_map, random_hp_map, random_map
@@ -695,3 +695,62 @@ def test_deferred_canonicalization_not_positive_fields():
                 assert got.value.min_eigenvalue == want.value.min_eigenvalue
                 assert got.value.hermiticity_defect == want.value.hermiticity_defect
                 assert str(got.value) == str(want.value)
+
+
+# ------------------------------------------------------ one Hermiticity rule
+
+
+def test_check_cp_builds_the_dual_choi_operator_once(monkeypatch):
+    calls = []
+    build = maps.dual_choi
+
+    def counting(phi, rep=None):
+        calls.append(1)
+        return build(phi, rep)
+
+    monkeypatch.setattr(maps, "dual_choi", counting)
+    rng = np.random.default_rng(151)
+    rep = make_factor(3, [0.2, 0.3, 0.5])
+    for phi in (random_cp_map(rng, 3, 2), transpose_map(3), random_map(rng, 3, 2)):
+        calls.clear()
+        _cp_report(phi, rep)
+        assert len(calls) == 1
+
+
+def test_kraus_decompose_takes_no_svd_of_a_hermitian_dual_choi(monkeypatch):
+    calls = []
+    norm = linalg.opnorm
+
+    def counting(m):
+        calls.append(1)
+        return norm(m)
+
+    monkeypatch.setattr(linalg, "opnorm", counting)
+    rng = np.random.default_rng(157)
+    for n in (2, 4, 8):
+        rep = make_factor(n, rng.uniform(0.2, 1.0, n))
+        kraus_decompose(map_scale(random_cp_map(rng, n, 3), 5.0), rep)
+        with pytest.raises(NotPositive):
+            kraus_decompose(random_hp_map(rng, n, 3), rep)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_matrix_unit_maps_keep_their_term_bytes(n):
+    # the hand-built loops the matrix-unit stack replaced, row-major (i, j)
+    units = [matrix_unit(n, i, j) for i in range(n) for j in range(n)]
+    for phi, want in ((transpose_map(n), [(u, u) for u in units]),
+                      (trace_map(n), [(u / n, u.T.copy()) for u in units])):
+        assert len(phi.terms) == len(want)
+        for (a, b), (wa, wb) in zip(phi.terms, want):
+            assert a.tobytes() == wa.tobytes() and b.tobytes() == wb.tobytes()
+            assert a.flags.c_contiguous and b.flags.c_contiguous
+
+
+def test_adjoint_choi_symmetry_does_not_call_an_overflowed_choi_hermitian():
+    # the Choi matrix of this map holds inf, so its Hermiticity defect is NaN
+    big = np.diag([1e200, 1.0]).astype(complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = adjoint_choi_symmetry(PairSumMap(2, ((big, big),)))
+    assert not report.choi_hermitian
+    assert report.conjugation_error is None

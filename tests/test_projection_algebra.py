@@ -24,6 +24,7 @@ from choifactor import (
     vector_state,
     zero_element,
 )
+from choifactor import projection_algebra
 from helpers import cgauss, matrix_unit, random_selfadjoint_terms
 
 TRACIAL2 = make_factor(2)
@@ -361,3 +362,33 @@ def test_scale_and_add():
     assert np.abs(materialize(element_scale(e, 2j)) - 2j * materialize(e)).max() < 1e-12
     both = element_add(e, e)
     assert np.abs(materialize(both) - 2 * materialize(e)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_identity_element_keeps_its_term_bytes(n):
+    # the hand-built loop the matrix-unit stack replaced: k outer, l inner
+    rep = make_factor(n, np.random.default_rng(n).uniform(0.2, 1.0, n))
+    want = []
+    for k in range(n):
+        for l in range(n):
+            s = matrix_unit(n, l, k) / np.sqrt(rep.weights[k])
+            want.append((s, s.conj().T))
+    got = identity_element(rep).terms
+    assert len(got) == len(want)
+    for (a, b), (wa, wb) in zip(got, want):
+        assert a.tobytes() == wa.tobytes() and b.tobytes() == wb.tobytes()
+
+
+def test_rank_one_subprojection_takes_one_opnorm(monkeypatch):
+    calls = []
+    norm = projection_algebra.opnorm
+
+    def counting(m):
+        calls.append(1)
+        return norm(m)
+
+    monkeypatch.setattr(projection_algebra, "opnorm", counting)
+    for rep in REPS:
+        calls.clear()
+        rank_one_subprojection(identity_element(rep))
+        assert len(calls) == 1
