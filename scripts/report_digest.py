@@ -11,7 +11,7 @@ transpose-type, rank-one, equal-weight orthogonal Kraus and near-boundary
 band (identity + t * transpose, t across (tol/n, n * tol)) maps at
 n in {2, 3, 4, 6, 8}, at uniform and at non-uniform weights, plus
 self-adjoint, projection and non-self-adjoint elements at n in {2, 3, 4}.
-Six digests are printed, each with the number of records behind it:
+Seven digests are printed, each with the number of records behind it:
 
     check_cp      repr of the CpReport, or of the report carried by
                   InternalDisagreement, at trials in {0, 1, 4, 64}
@@ -27,9 +27,17 @@ Six digests are printed, each with the number of records behind it:
     spectral      coefficients and implementer bytes of spectral_decompose,
                   or the error it raises, and for the projections the term
                   bytes of rank_one_subprojection
+    algebra       raw bytes (tobytes, so the sign of zero counts) of the
+                  pair-sum layer: transfer, apply_map, choi, dual_choi and
+                  the terms of adjoint_map for every map case, kraus_apply
+                  for every Kraus decomposition above, and materialize,
+                  element_product, element_adjoint, compress and the terms
+                  of identity_element for every element; the same again
+                  for sparse pairs at n in {2, 3, 4}, half of whose entries
+                  are zeros of either sign
 
 A change meant to leave every report bit for bit as it was prints the
-same six lines before and after; compare the output of two checkouts
+same seven lines before and after; compare the output of two checkouts
 (and of one and two BLAS threads). It complements
 `scripts/make_goldens.py --check`, which covers the CLI at n = 2 only.
 """
@@ -45,18 +53,28 @@ from choifactor import (
     ChoiFactorError,
     PairSumElement,
     PairSumMap,
+    adjoint_map,
+    apply_map,
     check_cp,
     check_positive,
+    choi,
+    compress,
+    dual_choi,
+    element_adjoint,
+    element_product,
     element_scale,
     extension_positivity_check,
     identity_element,
     identity_map,
+    kraus_apply,
     kraus_decompose,
     make_factor,
     map_scale,
     map_sum,
+    materialize,
     rank_one_subprojection,
     spectral_decompose,
+    transfer,
     transpose_map,
 )
 
@@ -140,8 +158,40 @@ def elements():
             yield f"not_selfadjoint {tag}", PairSumElement(rep, selfadjoint[:1]), False
 
 
+def sparse_cases():
+    """(label, pairs, rep): about half of the coefficient entries are zeros
+    of either sign, so that the products of the pair-sum layer are too."""
+    rng = np.random.default_rng(20144)
+    for n in SPECTRAL_SIZES:
+        for k in (1, 2, n):
+            pairs = _cgauss(rng, k, 2, n, n) * (rng.random((k, 2, n, n)) < 0.5)
+            weighted = make_factor(n, rng.uniform(0.2, 1.0, n))
+            for weighting, rep in (("tracial", make_factor(n)), ("weighted", weighted)):
+                yield f"sparse n={n} k={k} {weighting}", pairs, rep
+
+
+def _terms_bytes(obj) -> bytes:
+    return b"".join(a.tobytes() + b.tobytes() for a, b in obj.terms)
+
+
+def _map_bytes(phi, rep, c) -> bytes:
+    return b"".join((transfer(phi).tobytes(), apply_map(phi, c).tobytes(), choi(phi).tobytes(),
+                     dual_choi(phi, rep).tobytes(), _terms_bytes(adjoint_map(phi))))
+
+
+def _element_bytes(element) -> bytes:
+    adjoint = element_adjoint(element)
+    try:
+        compressed = _terms_bytes(compress(element))
+    except ChoiFactorError as exc:
+        compressed = f"{type(exc).__name__}: {exc}".encode()
+    product = element_product(element, adjoint)
+    return b"".join((materialize(element).tobytes(), _terms_bytes(product), _terms_bytes(adjoint),
+                     compressed, _terms_bytes(identity_element(element.rep))))
+
+
 def main() -> int:
-    kinds = ("check_cp", "extension", "kraus", "not_positive", "positive", "spectral")
+    kinds = ("check_cp", "extension", "kraus", "not_positive", "positive", "spectral", "algebra")
     digests = {kind: hashlib.sha256() for kind in kinds}
     counts = dict.fromkeys(digests, 0)
 
@@ -149,7 +199,10 @@ def main() -> int:
         digests[kind].update(label.encode() + b"\0" + payload + b"\n")
         counts[kind] += 1
 
+    inputs = np.random.default_rng(20143)  # apply_map and kraus_apply inputs
     for label, phi, rep in cases():
+        c = _cgauss(inputs, phi.n, phi.n)
+        record("algebra", f"{label} maps", _map_bytes(phi, rep, c))
         for trials in CP_TRIALS:
             try:
                 report = check_cp(phi, tol=TOL, rep=rep, trials=trials, seed=trials)
@@ -168,6 +221,7 @@ def main() -> int:
                 continue
             payload = repr(kd.coefficients).encode() + b"".join(v.tobytes() for v in kd.ops)
             record("kraus", f"{label} tol={tol!r}", payload)
+            record("algebra", f"{label} tol={tol!r} kraus_apply", kraus_apply(kd, c).tobytes())
         if phi.n in POSITIVE_SIZES:
             for restarts in POSITIVE_RESTARTS:
                 cert = check_positive(phi, rep, restarts=restarts, tol=TOL, seed=restarts,
@@ -177,6 +231,7 @@ def main() -> int:
                 record("positive", f"{label} restarts={restarts}", payload)
 
     for label, element, is_projection in elements():
+        record("algebra", f"{label} elements", _element_bytes(element))
         try:
             sd = spectral_decompose(element, tol=TOL)
             payload = repr([c for c, _ in sd.items]).encode() + b"".join(
@@ -184,9 +239,17 @@ def main() -> int:
         except ChoiFactorError as exc:
             payload = f"{type(exc).__name__}: {exc}".encode()
         if is_projection:
-            sub = rank_one_subprojection(element)
-            payload += b"".join(a.tobytes() + b.tobytes() for a, b in sub.terms)
+            payload += _terms_bytes(rank_one_subprojection(element))
         record("spectral", label, payload)
+
+    for label, pairs, rep in sparse_cases():
+        c = _cgauss(inputs, rep.n, rep.n)
+        record("algebra", f"{label} maps", _map_bytes(PairSumMap(rep.n, pairs), rep, c))
+        record("algebra", f"{label} elements", _element_bytes(PairSumElement(rep, pairs)))
+        v = pairs[:, 1]  # the Kraus operators of C -> sum V* C V
+        cp = PairSumMap(rep.n, np.stack((np.conj(v).swapaxes(1, 2), v), axis=1))
+        kd = kraus_decompose(cp, rep)
+        record("algebra", f"{label} kraus_apply", kraus_apply(kd, c).tobytes())
 
     for kind, digest in digests.items():
         print(f"{kind:<13} {counts[kind]:>4}  {digest.hexdigest()}")

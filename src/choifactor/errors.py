@@ -30,7 +30,7 @@ class BadWeights(ChoiFactorError):
 
 
 class NotTracial(ChoiFactorError):
-    """Operation is only defined for uniform weights."""
+    """No longer raised, as every operation works at any weights; kept for callers."""
 
 
 class RepMismatch(ChoiFactorError):

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadWeights, DimensionMismatch, NotTracial
+from .errors import BadWeights, DimensionMismatch
 from .linalg import as_complex, dagger, kron
 
 
@@ -49,9 +49,7 @@ class FactorRep:
 
     @cached_property
     def state_vector(self) -> np.ndarray:
-        x = np.zeros(self.n * self.n, dtype=np.complex128)
-        for i in range(self.n):
-            x[i * self.n + i] = np.sqrt(self.weights[i])
+        x = np.diag(np.sqrt(self.weights)).reshape(-1).astype(np.complex128)
         x.setflags(write=False)
         return x
 
@@ -99,47 +97,51 @@ def embed(rep: FactorRep, a, side: str = "factor") -> np.ndarray:
     raise ValueError(f"side must be 'factor' or 'commutant', got {side!r}")
 
 
-def vector_state(rep: FactorRep, a) -> complex:
-    """State value sum_i lambda_i a_ii, i.e. <x, (1 (x) a) x>."""
+def vector_state(rep: FactorRep, a):
+    """State value sum_i lambda_i a_ii, i.e. <x, (1 (x) a) x>; for a stack
+    (..., n, n) of matrices, the array of their values."""
     a = as_complex(a)
-    if a.shape != (rep.n, rep.n):
+    if a.shape[-2:] != (rep.n, rep.n):
         raise DimensionMismatch(f"expected {rep.n}x{rep.n}, got {a.shape}")
-    return complex(np.sum(rep.weights * np.diag(a)))
+    values = np.sum(rep.weights * np.diagonal(a, axis1=-2, axis2=-1), axis=-1)
+    return complex(values) if a.ndim == 2 else values
 
 
 def apply_factor_to_state(rep: FactorRep, a) -> np.ndarray:
-    """The vector (1 (x) a) x without forming the n^2 by n^2 matrix.
+    """The vector (1 (x) a) x without forming the n^2 by n^2 matrix; for a
+    stack (..., n, n) of matrices, the (..., n^2) stack of their vectors.
 
     Under the flat index i*n + k this is the matrix diag(sqrt(weights)) a^T
     read out row-major.
     """
     a = as_complex(a)
-    if a.shape != (rep.n, rep.n):
+    if a.shape[-2:] != (rep.n, rep.n):
         raise DimensionMismatch(f"expected {rep.n}x{rep.n}, got {a.shape}")
-    return (np.sqrt(rep.weights)[:, None] * a.T).reshape(-1)
+    return (np.sqrt(rep.weights)[:, None] * a.swapaxes(-1, -2)).reshape(a.shape[:-2] + (rep.n**2,))
 
 
 def implementer_from_vector(rep: FactorRep, y) -> np.ndarray:
-    """The unique S in M_n with (1 (x) S) x = y.
+    """The unique S in M_n with (1 (x) S) x = y; for a stack (..., n^2) of
+    vectors, the (..., n, n) stack of their S.
 
     Writing y as an n-by-n array Y (row-major over the flat index),
     S = Y^T diag(weights)^(-1/2).
     """
-    y = as_complex(y).reshape(-1)
-    if y.shape[0] != rep.n * rep.n:
-        raise DimensionMismatch(f"expected length {rep.n * rep.n}, got {y.shape[0]}")
-    ymat = y.reshape(rep.n, rep.n)
-    return ymat.T * (1.0 / np.sqrt(rep.weights))[None, :]
+    y = as_complex(y)
+    if y.shape[-1:] != (rep.n * rep.n,):
+        raise DimensionMismatch(f"expected length {rep.n * rep.n}, got shape {y.shape}")
+    ymat = y.reshape(y.shape[:-1] + (rep.n, rep.n))
+    return ymat.swapaxes(-1, -2) * (1.0 / np.sqrt(rep.weights))
 
 
 def modular_conjugate(rep: FactorRep, v) -> np.ndarray:
-    """Modular conjugation: reshape, adjoint, flatten. Tracial weights only.
+    """Modular conjugation: reshape, adjoint, flatten.
 
-    Antilinear, squares to the identity, fixes x, and conjugates 1 (x) A
+    J(Y) = Y* in the Hilbert-Schmidt picture, whatever the weights: the
+    standard vector x = diag(sqrt(weights)) is self-adjoint there. J is
+    antilinear, squares to the identity, fixes x, and conjugates 1 (x) A
     to conj(A) (x) 1.
     """
-    if not rep.tracial:
-        raise NotTracial("modular conjugation implemented for uniform weights only")
     v = as_complex(v).reshape(-1)
     if v.shape[0] != rep.n * rep.n:
         raise DimensionMismatch(f"expected length {rep.n * rep.n}, got {v.shape[0]}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotInSpan
+from .errors import DimensionMismatch, NotHermitian, NotInSpan, NumericalFailure
 
 # Default relative tolerance for algebraic identities at double precision.
 TOL_ALG = 1e-10
@@ -28,7 +28,8 @@ def as_complex(m) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(as_complex(m)).T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.conj(as_complex(m)).swapaxes(-1, -2)
 
 
 def kron(a, b) -> np.ndarray:
@@ -37,10 +38,13 @@ def kron(a, b) -> np.ndarray:
 
 
 def opnorm(m) -> float:
-    """Operator (spectral) norm."""
+    """Operator (spectral) norm. An entry that is not a finite number raises
+    NumericalFailure: LAPACK's SVD would print to stdout and then fail."""
     m = as_complex(m)
     if m.size == 0:
         return 0.0
+    if not np.all(np.isfinite(m)):
+        raise NumericalFailure("cannot take the operator norm: entries out of floating point range")
     return float(np.linalg.norm(m, 2))
 
 
@@ -53,11 +57,11 @@ def hermiticity_defect(m) -> float:
 def scaled_tol(x: float, tol: float, m) -> float:
     """The threshold tol * max(1, opnorm(m)) that a defect x >= 0 is held to.
 
-    When x <= tol the scale cannot change the comparison, so tol itself is
-    returned and the SVD behind opnorm is skipped; x compares with the
-    result exactly as with the full threshold, NaN included.
+    When x is not above tol (a NaN is above no threshold) the scale cannot
+    change the comparison, so tol itself is returned and the SVD behind
+    opnorm is skipped; x compares with the result as with the full threshold.
     """
-    return tol if x <= tol else tol * max(1.0, opnorm(m))
+    return tol if not x > tol else tol * max(1.0, opnorm(m))
 
 
 def hermitian_part(m, tol: float) -> tuple[np.ndarray, float, bool]:
@@ -173,7 +177,8 @@ def subspace_coeffs(v, basis, tol: float = TOL_ALG) -> np.ndarray:
 
     basis is a sequence of equal-length vectors. Raises NotInSpan (carrying
     the residual) when the best approximation misses v by more than
-    tol * max(1, |v|), and DimensionMismatch on inconsistent lengths.
+    tol * max(1, |v|), DimensionMismatch on inconsistent lengths, and
+    NumericalFailure, as opnorm does, on an entry that is not a finite number.
     """
     v = as_complex(v).reshape(-1)
     cols = [as_complex(b).reshape(-1) for b in basis]
@@ -187,6 +192,8 @@ def subspace_coeffs(v, basis, tol: float = TOL_ALG) -> np.ndarray:
             return np.zeros(0, dtype=np.complex128)
         raise NotInSpan(vnorm)
     a = np.stack(cols, axis=1)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(v))):
+        raise NumericalFailure("cannot solve least squares: entries out of floating point range")
     coeffs, *_ = np.linalg.lstsq(a, v, rcond=None)
     residual = float(np.linalg.norm(v - a @ coeffs))
     if residual > bound:

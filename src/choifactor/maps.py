@@ -1,7 +1,8 @@
 """Pair-sum maps on M_n, their Choi-type operators and CP structure.
 
-A map phi(C) = sum_i A_i C B_i is stored by its coefficient pairs. Two
-n^2 by n^2 operators represent it:
+A map phi(C) = sum_i A_i C B_i is stored by its coefficient pairs, as the
+(k, n, n) stacks a and b of projection_algebra.frozen_terms. Two n^2 by n^2
+operators represent it:
 
   choi(phi)              sum_ij e_ij (x) phi(e_ij), the usual Choi matrix;
   dual_choi(phi, rep)    sum_i (1(x)B_i) E (1(x)A_i), the same data carried
@@ -9,15 +10,15 @@ n^2 by n^2 operators represent it:
                          representation.
 
 At uniform weights dual_choi(phi) equals choi of the adjoint map divided
-by n, and phi can be rebuilt from it block by block. Kraus extraction from
-a positive semidefinite dual_choi works at any weights. Vectorization is
+by n. At any weights phi can be rebuilt from it, and Kraus operators
+extracted from it when it is positive semidefinite. Vectorization is
 row-major throughout: the transfer matrix sum_i kron(A_i, B_i^T) acts on
 reshape(C, -1).
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .errors import (
     DimensionMismatch,
     InternalDisagreement,
     NotPositive,
-    NotTracial,
     RepMismatch,
 )
 from .factor import FactorRep, implementer_from_vector, make_factor
@@ -40,23 +40,20 @@ from .linalg import (
     psd_within,
     scaled_tol,
 )
-from .projection_algebra import frozen_terms, state_sum
+from .projection_algebra import TermStacks, state_sum
 
 
-@dataclass(frozen=True, eq=False)
-class PairSumMap:
-    """Coefficient pairs (A_i, B_i) of C -> sum_i A_i C B_i on M_n."""
+@dataclass(frozen=True, eq=False, init=False)
+class PairSumMap(TermStacks):
+    """C -> sum_i A_i C B_i on M_n."""
 
     n: int
-    terms: tuple = field(repr=False)
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {self.n!r}")
-        object.__setattr__(self, "terms", frozen_terms(self.n, self.terms))
-
-    def __len__(self) -> int:
-        return len(self.terms)
+    def __init__(self, n: int, terms):
+        if not isinstance(n, int) or n < 2:
+            raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
+        super().__init__(n, terms)
+        object.__setattr__(self, "n", n)
 
 
 def identity_map(n: int) -> PairSumMap:
@@ -65,13 +62,14 @@ def identity_map(n: int) -> PairSumMap:
 
 
 def transpose_map(n: int) -> PairSumMap:
-    return PairSumMap(n, tuple((u, u) for u in matrix_units(n)))
+    units = matrix_units(n)
+    return PairSumMap(n, np.stack((units, units), axis=1))
 
 
 def trace_map(n: int) -> PairSumMap:
     """C -> Tr(C) I / n."""
     units = matrix_units(n)
-    return PairSumMap(n, tuple(zip(units / n, units.transpose(0, 2, 1).copy())))
+    return PairSumMap(n, np.stack((units / n, units.transpose(0, 2, 1)), axis=1))
 
 
 def conjugation_map(v) -> PairSumMap:
@@ -85,42 +83,37 @@ def conjugation_map(v) -> PairSumMap:
 def map_sum(phi: PairSumMap, psi: PairSumMap) -> PairSumMap:
     if phi.n != psi.n:
         raise DimensionMismatch("maps act on different dimensions")
-    return PairSumMap(phi.n, phi.terms + psi.terms)
+    a = np.concatenate((phi.a, psi.a))
+    return PairSumMap(phi.n, np.stack((a, np.concatenate((phi.b, psi.b))), axis=1))
 
 
 def map_scale(phi: PairSumMap, z: complex) -> PairSumMap:
-    return PairSumMap(phi.n, tuple((z * a, b) for a, b in phi.terms))
+    return PairSumMap(phi.n, np.stack((z * phi.a, phi.b), axis=1))
 
 
 def apply_map(phi: PairSumMap, c) -> np.ndarray:
     c = as_complex(c)
     if c.shape != (phi.n, phi.n):
         raise DimensionMismatch(f"expected {phi.n}x{phi.n}, got {c.shape}")
-    out = np.zeros((phi.n, phi.n), dtype=np.complex128)
-    for a, b in phi.terms:
-        out += a @ c @ b
-    return out
+    return (phi.a @ c @ phi.b).sum(axis=0)
 
 
 def transfer(phi: PairSumMap) -> np.ndarray:
     """Matrix acting on row-major vec: vec(phi(C)) = transfer(phi) vec(C)."""
-    n = phi.n
-    out = np.zeros((n * n, n * n), dtype=np.complex128)
-    for a, b in phi.terms:
-        # kron(a, b^T) as one broadcast product, entry (i*n + k, j*n + l)
-        out += (a[:, None, :, None] * b.T[None, :, None, :]).reshape(n * n, n * n)
-    return out
+    # kron(A_i, B_i^T) as one broadcast product, entry (i*n + k, j*n + l)
+    krons = phi.a[:, :, None, :, None] * phi.b.transpose(0, 2, 1)[:, None, :, None, :]
+    return krons.reshape(len(phi), phi.n**2, phi.n**2).sum(axis=0)
 
 
 def adjoint_map(phi: PairSumMap) -> PairSumMap:
     """The trace-pairing adjoint C -> sum_i B_i C A_i,
     so Tr(phi(C) D) = Tr(C adjoint(phi)(D))."""
-    return PairSumMap(phi.n, tuple((b, a) for a, b in phi.terms))
+    return PairSumMap(phi.n, np.stack((phi.b, phi.a), axis=1))
 
 
 def choi(phi: PairSumMap) -> np.ndarray:
     """sum_ij e_ij (x) phi(e_ij)."""
-    return phi.n * state_sum(make_factor(phi.n, "tracial"), phi.terms)
+    return phi.n * state_sum(make_factor(phi.n, "tracial"), phi.a, phi.b)
 
 
 def dual_choi(phi: PairSumMap, rep: FactorRep | None = None) -> np.ndarray:
@@ -130,7 +123,7 @@ def dual_choi(phi: PairSumMap, rep: FactorRep | None = None) -> np.ndarray:
     it equals choi(adjoint_map(phi)) / n.
     """
     rep = _resolve_rep(phi, rep)
-    return state_sum(rep, tuple((b, a) for a, b in phi.terms))
+    return state_sum(rep, phi.b, phi.a)
 
 
 def _resolve_rep(phi: PairSumMap, rep: FactorRep | None) -> FactorRep:
@@ -142,20 +135,22 @@ def _resolve_rep(phi: PairSumMap, rep: FactorRep | None) -> FactorRep:
 
 
 def map_from_dual_choi(d, rep: FactorRep) -> np.ndarray:
-    """Invert phi -> dual_choi(phi) at uniform weights.
+    """Invert phi -> dual_choi(phi) at any weights.
 
-    Returns the transfer matrix of the recovered map: block (i, j) of n*d
-    is the adjoint map applied to e_ij, and a leg swap plus transpose turns
-    the adjoint's transfer matrix into the map's own. Both steps together
-    are one permutation of the four tensor indices.
+    Returns the transfer matrix of the recovered map. Dividing entry
+    ((i, a), (j, b)) of d by sqrt(w_i w_j) gives n d_u, d_u the operator at
+    uniform weights; block (i, j) of n d_u is the adjoint map applied to
+    e_ij, and a leg swap plus transpose turns the adjoint's transfer matrix
+    into the map's own, one permutation of the four tensor indices.
     """
-    if not rep.tracial:
-        raise NotTracial("map recovery from the dual Choi operator needs uniform weights")
     d = as_complex(d)
     n = rep.n
     if d.shape != (n * n, n * n):
         raise DimensionMismatch(f"expected {n * n}x{n * n}, got {d.shape}")
-    return (n * d).reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n * n, n * n)
+    # 1 / sqrt(w_i w_j) = n r_i r_j, and r is 1 at uniform weights
+    r = 1.0 / np.sqrt(n * rep.weights)
+    blocks = (n * d).reshape(n, n, n, n) * r[:, None, None, None] * r[None, None, :, None]
+    return blocks.transpose(2, 0, 3, 1).reshape(n * n, n * n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,28 +192,19 @@ def _kraus_from_dual_choi(d: np.ndarray, rep: FactorRep, tol: float) -> KrausDec
     # only the eigenvectors kept below need their canonical basis and phase
     _canonicalize(evals, evecs, scale, above=tol)
 
-    pieces = []
-    for j in range(len(evals)):
-        c = float(evals[j])
-        if c <= tol:
-            continue
-        s = implementer_from_vector(rep, evecs[:, j])
-        pieces.append((c, np.sqrt(c) * s))
-    pieces.sort(
-        key=lambda cv: (-cv[0],)
-        + tuple(np.concatenate([cv[1].real.reshape(-1), cv[1].imag.reshape(-1)]))
-    )
-    return KrausDecomposition(
-        ops=tuple(v for _, v in pieces), coefficients=tuple(c for c, _ in pieces)
-    )
+    kept = ~(evals <= tol)
+    cs = evals[kept]
+    ops = np.sqrt(cs)[:, None, None] * implementer_from_vector(rep, evecs[:, kept].T)
+    # descending coefficient, ties broken by the real and then the imaginary entries
+    flat = ops.reshape(len(cs), rep.n * rep.n)
+    order = np.lexsort(np.vstack((flat.imag.T[::-1], flat.real.T[::-1], -cs)))
+    return KrausDecomposition(ops=tuple(ops[order]), coefficients=tuple(cs[order].tolist()))
 
 
 def kraus_apply(kd: KrausDecomposition, c) -> np.ndarray:
     c = as_complex(c)
-    out = np.zeros_like(c)
-    for v in kd.ops:
-        out += dagger(v) @ c @ v
-    return out
+    v = np.array(kd.ops, dtype=np.complex128).reshape((-1,) + c.shape)
+    return (dagger(v) @ c @ v).sum(axis=0)
 
 
 # Random probes are evaluated in stacks of at most this many bytes per
@@ -391,7 +377,8 @@ def check_cp(
         kd = None
     if kd is not None:
         t = transfer(phi)
-        t_kraus = transfer(PairSumMap(phi.n, tuple((dagger(v), v) for v in kd.ops)))
+        v = np.array(kd.ops, dtype=np.complex128).reshape(-1, phi.n, phi.n)
+        t_kraus = transfer(PairSumMap(phi.n, np.stack((dagger(v), v), axis=1)))
         worst = float(np.max(np.abs(t_kraus - t)))
         kraus_ok = worst <= scaled_tol(worst, 10.0 * max(tol, 1e-12), t)
 
@@ -440,12 +427,10 @@ def adjoint_choi_symmetry(
         reported as None otherwise);
     (c) the two Choi matrices are psd together or not at all.
 
-    The modular form of (b) presumes uniform weights; passing an explicit
-    non-tracial representation raises NotTracial.
+    All three concern choi, which does not depend on the weights, so rep
+    only has to have phi's dimension.
     """
-    rep = _resolve_rep(phi, rep)
-    if not rep.tracial:
-        raise NotTracial("Choi symmetry checks are stated at uniform weights")
+    _resolve_rep(phi, rep)
     c = choi(phi)
     c_adj = choi(adjoint_map(phi))
     # W M W with W the leg swap exchanges the two legs of both indices

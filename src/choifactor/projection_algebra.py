@@ -1,15 +1,17 @@
 """The *-algebra of finite-rank operators around the state projection.
 
-Elements are kept symbolically as term lists: a list of coefficient pairs
-(A_i, B_i) stands for sum_i (1 (x) A_i) E (1 (x) B_i), where E projects
-onto the standard vector. Because E has rank one, products collapse by
-(A E B)(C E D) = omega(B C) A E D with omega the vector state, so the
-symbolic calculus never leaves term-list form. Materialization to a dense
-n^2 by n^2 matrix is explicit and one-way.
+An element sum_i (1 (x) A_i) E (1 (x) B_i), where E projects onto the
+standard vector, is kept symbolically by its coefficient pairs (A_i, B_i).
+frozen_terms stores them as two read-only (k, n, n) stacks a and b, for
+elements here and for the pair-sum maps of maps.py alike, so every
+operation acts on all terms at once as one array product. Because E has
+rank one, products collapse by (A E B)(C E D) = omega(B C) A E D with
+omega the vector state, so the symbolic calculus never leaves this form.
+Materialization to a dense n^2 by n^2 matrix is explicit and one-way.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,47 +30,60 @@ from .factor import (
     implementer_from_vector,
     vector_state,
 )
-from .linalg import (TOL_ALG, as_complex, dagger, hermitian_eig, hermitian_part, matrix_units,
+from .linalg import (TOL_ALG, dagger, hermitian_eig, hermitian_part, matrix_units,
                      opnorm, subspace_coeffs)
 
 # Relative gap below which kept eigenvalues share one spectral projection.
 _SPECTRAL_CLUSTER_RTOL = 1e-8
 
 
-def frozen_terms(n: int, terms) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Validated read-only copies of coefficient pairs (A_i, B_i) in M_n.
-
-    Raises DimensionMismatch on a wrong shape and ValueError on a NaN or
-    infinite entry.
+def frozen_terms(n: int, terms) -> tuple[np.ndarray, np.ndarray]:
+    """Validated read-only C-contiguous (k, n, n) stacks a and b of the
+    coefficient pairs (A_i, B_i) in M_n, from a sequence of pairs (an array
+    of shape (k, 2, n, n) is taken whole). Raises DimensionMismatch on a
+    wrong shape and ValueError on a NaN or infinite entry.
     """
-    out = []
-    for a, b in terms:
-        a = np.array(a, dtype=np.complex128)
-        b = np.array(b, dtype=np.complex128)
-        if a.shape != (n, n) or b.shape != (n, n):
-            raise DimensionMismatch(
-                f"term matrices must be {n}x{n}, got {a.shape} and {b.shape}"
-            )
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("term matrices must have finite entries")
-        a.setflags(write=False)
-        b.setflags(write=False)
-        out.append((a, b))
-    return tuple(out)
+    if not (isinstance(terms, np.ndarray) and terms.shape[1:] == (2, n, n)):
+        terms = list(terms)
+        for a, b in terms:
+            if np.shape(a) != (n, n) or np.shape(b) != (n, n):
+                raise DimensionMismatch(
+                    f"term matrices must be {n}x{n}, got {np.shape(a)} and {np.shape(b)}"
+                )
+    stacks = np.asarray(terms, dtype=np.complex128).reshape(-1, 2, n, n).swapaxes(0, 1).copy()
+    if not np.all(np.isfinite(stacks)):
+        raise ValueError("term matrices must have finite entries")
+    stacks.setflags(write=False)
+    return stacks[0], stacks[1]
 
 
-@dataclass(frozen=True, eq=False)
-class PairSumElement:
-    """Term list for sum_i (1 (x) A_i) E (1 (x) B_i) over a fixed rep."""
+class TermStacks:
+    """Coefficient pairs (A_i, B_i) kept as the stacks a and b of frozen_terms."""
 
-    rep: FactorRep
-    terms: tuple = field(repr=False)
+    def __init__(self, n: int, terms):
+        a, b = frozen_terms(n, terms)
+        # the subclasses are frozen dataclasses
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", frozen_terms(self.rep.n, self.terms))
+    @property
+    def terms(self) -> tuple:
+        """The pairs (A_i, B_i), as read-only views into a and b."""
+        return tuple(zip(self.a, self.b))
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.a)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class PairSumElement(TermStacks):
+    """sum_i (1 (x) A_i) E (1 (x) B_i) over a fixed rep."""
+
+    rep: FactorRep
+
+    def __init__(self, rep: FactorRep, terms):
+        super().__init__(rep.n, terms)
+        object.__setattr__(self, "rep", rep)
 
 
 def zero_element(rep: FactorRep) -> PairSumElement:
@@ -76,11 +91,11 @@ def zero_element(rep: FactorRep) -> PairSumElement:
 
 
 def identity_element(rep: FactorRep) -> PairSumElement:
-    """The identity of B(H), which is finite rank here, as a term list."""
+    """The identity of B(H), which is finite rank here, as an element."""
     # term k*n + l is (S, S*) with S = e_lk / sqrt(w_k)
     scales = np.sqrt(np.repeat(rep.weights, rep.n))[:, None, None]
     ss = matrix_units(rep.n).transpose(0, 2, 1) / scales
-    return PairSumElement(rep, tuple((s, dagger(s)) for s in ss))
+    return PairSumElement(rep, np.stack((ss, dagger(ss)), axis=1))
 
 
 def _check_same_rep(e1: PairSumElement, e2: PairSumElement) -> None:
@@ -90,59 +105,61 @@ def _check_same_rep(e1: PairSumElement, e2: PairSumElement) -> None:
 
 def element_adjoint(e: PairSumElement) -> PairSumElement:
     """Termwise (A E B)* = B* E A*."""
-    return PairSumElement(e.rep, tuple((dagger(b), dagger(a)) for a, b in e.terms))
+    return PairSumElement(e.rep, np.stack((dagger(e.b), dagger(e.a)), axis=1))
 
 
 def element_product(e1: PairSumElement, e2: PairSumElement) -> PairSumElement:
-    """Collapse (A E B)(C E D) = omega(B C) A E D over all term pairs."""
+    """Collapse (A E B)(C E D) = omega(B C) A E D over all term pairs; the
+    pair (i, j) gives term i * len(e2) + j."""
     _check_same_rep(e1, e2)
-    terms = []
-    for a, b in e1.terms:
-        for c, d in e2.terms:
-            terms.append((vector_state(e1.rep, b @ c) * a, d))
-    return PairSumElement(e1.rep, tuple(terms))
+    a = vector_state(e1.rep, e1.b[:, None] @ e2.a)[:, :, None, None] * e1.a[:, None]
+    pairs = np.stack((a, np.broadcast_to(e2.b, a.shape)), axis=2)
+    return PairSumElement(e1.rep, pairs.reshape(-1, 2, e1.rep.n, e1.rep.n))
 
 
 def element_scale(e: PairSumElement, z: complex) -> PairSumElement:
-    return PairSumElement(e.rep, tuple((z * a, b) for a, b in e.terms))
+    return PairSumElement(e.rep, np.stack((z * e.a, e.b), axis=1))
 
 
 def element_add(e1: PairSumElement, e2: PairSumElement) -> PairSumElement:
     _check_same_rep(e1, e2)
-    return PairSumElement(e1.rep, e1.terms + e2.terms)
+    a = np.concatenate((e1.a, e2.a))
+    return PairSumElement(e1.rep, np.stack((a, np.concatenate((e1.b, e2.b))), axis=1))
 
 
-def state_sum(rep: FactorRep, terms) -> np.ndarray:
-    """Dense n^2 by n^2 matrix of sum_i (1 (x) A_i) E (1 (x) B_i) over rep.
+def _frames(rep: FactorRep, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # row i: the rank-one operator |(1(x)A_i)x><(1(x)B_i*)x|, flattened, with
+    # -0 entries made +0 as in a sum that starts from zero
+    left = apply_factor_to_state(rep, a)
+    right = np.conj(apply_factor_to_state(rep, dagger(b)))
+    frames = (left[:, :, None] * right[:, None, :]).reshape(len(a), left.shape[1] ** 2)
+    return np.add(frames, 0.0, out=frames)
 
-    Each term is the rank-one operator |(1(x)A)x><(1(x)B*)x|, added one
-    at a time in term order: one matmul over all terms sums in another
-    order and changes the last digits of the golden outputs.
+
+def state_sum(rep: FactorRep, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dense n^2 by n^2 matrix of sum_i (1 (x) A_i) E (1 (x) B_i) over rep,
+    for stacks a and b of shape (k, n, n).
+
+    The terms are added in index order, as a sum over the term axis does: a
+    matmul over that axis sums in another order and changes the last digits
+    of the golden outputs.
     """
-    n2 = rep.n * rep.n
-    out = np.zeros((n2, n2), dtype=np.complex128)
-    for a, b in terms:
-        left = apply_factor_to_state(rep, a)
-        right = apply_factor_to_state(rep, dagger(b))
-        out += np.outer(left, np.conj(right))
-    return out
+    return _frames(rep, a, b).sum(axis=0).reshape(rep.n**2, rep.n**2)
 
 
 def materialize(e: PairSumElement) -> np.ndarray:
     """Dense n^2 by n^2 matrix of the element."""
-    return state_sum(e.rep, e.terms)
+    return state_sum(e.rep, e.a, e.b)
 
 
 def compress(e: PairSumElement, tol: float = TOL_ALG) -> PairSumElement:
-    """Shorter term list with the same materialization.
+    """Shorter element with the same materialization.
 
     Greedily keeps a maximal independent subset of the term frames (index
     order) and folds least-squares coefficients for the whole sum into the
     kept A sides. Never applied implicitly by the other operations.
     """
-    if not e.terms:
-        return e
-    frames = [state_sum(e.rep, (term,)).reshape(-1) for term in e.terms]
+    frames = _frames(e.rep, e.a, e.b)
     total = np.sum(frames, axis=0)
     kept: list[int] = []
     ortho: list[np.ndarray] = []
@@ -158,13 +175,12 @@ def compress(e: PairSumElement, tol: float = TOL_ALG) -> PairSumElement:
             ortho.append(resid / np.linalg.norm(resid))
     if not kept:
         return zero_element(e.rep)
-    coeffs = subspace_coeffs(total, [frames[i] for i in kept], tol=max(tol, 1e-9))
-    terms = tuple((coeffs[j] * e.terms[i][0], e.terms[i][1]) for j, i in enumerate(kept))
-    return PairSumElement(e.rep, terms)
+    coeffs = subspace_coeffs(total, frames[kept], tol=max(tol, 1e-9))
+    return PairSumElement(e.rep, np.stack((coeffs[:, None, None] * e.a[kept], e.b[kept]), axis=1))
 
 
 def rank_one_subprojection(p: PairSumElement, tol: float = TOL_ALG) -> PairSumElement:
-    """A rank-one projection below p, still in term-list form.
+    """A rank-one projection below p, still an element.
 
     Compresses p by the first matrix unit (row-major) whose compressed
     vector is nonzero: F = p (1(x)u) E (1(x)u*) p, normalized. The whole
@@ -188,6 +204,12 @@ def rank_one_subprojection(p: PairSumElement, tol: float = TOL_ALG) -> PairSumEl
     raise ZeroProjection("no matrix unit has a nonzero compression")
 
 
+def _implementers(rep: FactorRep, cols: np.ndarray) -> np.ndarray:
+    # the S with (1 (x) S) x = y for each column y, scaled to omega(S* S) = 1
+    ss = implementer_from_vector(rep, cols.T)
+    return ss / np.sqrt(np.real(vector_state(rep, dagger(ss) @ ss)))[:, None, None]
+
+
 def rank_one_implementer(p: PairSumElement, tol: float = TOL_ALG) -> np.ndarray:
     """For a rank-one projection p = |y><y|, the S in M_n with
     (1 (x) S) E (1 (x) S*) = p and omega(S* S) = 1.
@@ -195,22 +217,19 @@ def rank_one_implementer(p: PairSumElement, tol: float = TOL_ALG) -> np.ndarray:
     The range vector gets a canonical phase, so equal inputs give equal S.
     """
     m = materialize(p)
-    scale = max(1.0, opnorm(m))
     try:
         evals, evecs = hermitian_eig(m, tol=tol)
     except NotHermitian as exc:
         raise NotRankOneProjection(str(exc)) from exc
+    scale = max(1.0, float(np.max(np.abs(evals))))
     if abs(evals[0] - 1.0) > max(tol * scale, 1e-12) or (
         len(evals) > 1 and np.max(np.abs(evals[1:])) > max(tol * scale, 1e-12)
     ):
         raise NotRankOneProjection(
             f"eigenvalues {np.array2string(evals, precision=3)} are not (1, 0, ..., 0)"
         )
-    y = evecs[:, 0]
-    s = implementer_from_vector(p.rep, y)
-    val = float(np.real(vector_state(p.rep, dagger(s) @ s)))
-    s = s / np.sqrt(val)
-    check = state_sum(p.rep, ((s, dagger(s)),))
+    s = _implementers(p.rep, evecs[:, :1])[0]
+    check = state_sum(p.rep, s[None], dagger(s)[None])
     if np.max(np.abs(check - m)) > 1e-8 * scale:
         raise NotRankOneProjection("implementer does not reproduce the projection")
     return s
@@ -229,10 +248,10 @@ class SpectralDecomposition:
 
 
 def decomposition_element(sd: SpectralDecomposition) -> PairSumElement:
-    """The decomposition re-expressed as a term list."""
-    return PairSumElement(
-        sd.rep, tuple((c * s, dagger(s)) for c, s in sd.items)
-    )
+    """The decomposition re-expressed as an element."""
+    coeffs = np.array([c for c, _ in sd.items], dtype=np.float64).reshape(-1, 1, 1)
+    ss = np.array([s for _, s in sd.items], dtype=np.complex128).reshape(-1, sd.rep.n, sd.rep.n)
+    return PairSumElement(sd.rep, np.stack((coeffs * ss, dagger(ss)), axis=1))
 
 
 def spectral_decompose(t: PairSumElement, tol: float = 1e-9) -> SpectralDecomposition:
@@ -248,33 +267,18 @@ def spectral_decompose(t: PairSumElement, tol: float = 1e-9) -> SpectralDecompos
         raise NotSelfAdjoint(f"self-adjointness defect {defect:.3e}")
     evals, evecs = hermitian_eig(herm, tol=max(tol, TOL_ALG))
     scale = max(1.0, float(np.max(np.abs(evals), initial=0.0)))
-    keep = [j for j in range(len(evals)) if abs(evals[j]) > tol]
+    keep = np.flatnonzero(np.abs(evals) > tol)
 
-    items = []
-    for j in keep:
-        y = evecs[:, j]
-        s = implementer_from_vector(t.rep, y)
-        val = float(np.real(vector_state(t.rep, dagger(s) @ s)))
-        items.append((float(evals[j]), s / np.sqrt(val)))
+    items = tuple(zip(evals[keep].tolist(), _implementers(t.rep, evecs[:, keep])))
 
     # spectral projections of nonzero eigenvalues are polynomials in t with
-    # zero constant term, hence must sit inside the span of the term frames
-    frames = [
-        state_sum(t.rep, ((a, b),)).reshape(-1)
-        for a, _ in t.terms
-        for _, b in t.terms
-    ]
-    i = 0
-    while i < len(keep):
-        j = i + 1
-        while (
-            j < len(keep)
-            and abs(evals[keep[j - 1]] - evals[keep[j]]) <= _SPECTRAL_CLUSTER_RTOL * scale
-        ):
-            j += 1
-        cols = evecs[:, keep[i:j]]
-        proj = cols @ dagger(cols)
-        subspace_coeffs(proj.reshape(-1), frames, tol=_SPECTRAL_CLUSTER_RTOL)
-        i = j
+    # zero constant term, hence must sit inside the span of the frames of
+    # the terms (A_i, B_j), ordered i * len(t) + j
+    frames = _frames(t.rep, np.repeat(t.a, len(t), axis=0), np.tile(t.b, (len(t), 1, 1)))
+    # one spectral projection per run of kept eigenvalues closer than the gap
+    cuts = np.flatnonzero(~(np.abs(np.diff(evals[keep])) <= _SPECTRAL_CLUSTER_RTOL * scale))
+    for cluster in np.split(keep, cuts + 1) if len(keep) else ():
+        cols = evecs[:, cluster]
+        subspace_coeffs((cols @ dagger(cols)).reshape(-1), frames, tol=_SPECTRAL_CLUSTER_RTOL)
 
-    return SpectralDecomposition(rep=t.rep, items=tuple(items))
+    return SpectralDecomposition(rep=t.rep, items=items)

@@ -1,9 +1,11 @@
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -19,6 +21,7 @@ from choifactor import (
     transfer,
     transpose_map,
 )
+import choifactor
 from choifactor.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -148,6 +151,26 @@ def test_cli_huge_entries_print_only_the_error_line(tmp_path, name):
         assert [str(w.message) for w in caught] == []
         if code == 2:
             assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cli_huge_entries_leave_stdout_empty_on_exit_2(tmp_path):
+    # LAPACK reports inf or NaN arguments by printing to the process's stdout
+    # from C, which only a separate process shows
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(choifactor.__file__).parents[1]))
+    runs = []
+    for name, text in HUGE_DOCS.items():
+        path = tmp_path / f"huge_{name}.json"
+        path.write_text(text, encoding="utf-8")
+        for cmd in ["choi", "dphi", "adjoint", "cp", "kraus", "positive", "spectral"]:
+            runs.append((name, cmd, [sys.executable, "-m", "choifactor", cmd, str(path)]))
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        procs = list(pool.map(
+            lambda run: subprocess.run(run[2], capture_output=True, text=True, env=env), runs))
+    for (name, cmd, _), proc in zip(runs, procs):
+        assert proc.returncode in (0, 2), (name, cmd, proc.stderr)
+        if proc.returncode == 2:
+            assert proc.stdout == "", (name, cmd)
+            assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,6 @@ import pytest
 from choifactor import (
     BadWeights,
     DimensionMismatch,
-    NotTracial,
     embed,
     implementer_from_vector,
     make_factor,
@@ -195,7 +194,18 @@ def test_modular_conjugation_swaps_legs():
     assert np.abs(sandwich - embed(rep, a.conj(), "commutant")).max() < 1e-12
 
 
-def test_modular_conjugation_needs_tracial():
-    rep = make_factor(2, [0.25, 0.75])
-    with pytest.raises(NotTracial):
-        modular_conjugate(rep, np.zeros(4))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_modular_conjugation_at_any_weights(n):
+    # J(Y) = Y* does not depend on the weights: an antilinear involution
+    # fixing x, with J (1 (x) A) J = conj(A) (x) 1
+    rng = np.random.default_rng(47 + n)
+    rep = make_factor(n, rng.uniform(0.1, 1.0, n))
+    x, _ = state_projection(rep)
+    assert np.abs(modular_conjugate(rep, x) - x).max() < 1e-15
+    v, z = cgauss(rng, n * n), complex(*rng.standard_normal(2))
+    assert np.array_equal(modular_conjugate(rep, modular_conjugate(rep, v)), v)
+    assert np.abs(modular_conjugate(rep, z * v) - np.conj(z) * modular_conjugate(rep, v)).max() < 1e-14
+    a = cgauss(rng, n, n)
+    lifted = embed(rep, a, "factor")
+    cols = [modular_conjugate(rep, lifted @ modular_conjugate(rep, e)) for e in np.eye(n * n)]
+    assert np.abs(np.stack(cols, axis=1) - embed(rep, a.conj(), "commutant")).max() < 1e-12

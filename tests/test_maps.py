@@ -5,7 +5,6 @@ from choifactor import (
     DimensionMismatch,
     InternalDisagreement,
     NotPositive,
-    NotTracial,
     PairSumElement,
     PairSumMap,
     adjoint_choi_symmetry,
@@ -175,10 +174,22 @@ def test_map_from_dual_choi_roundtrip(n):
         assert np.abs(rebuilt - transfer(phi)).max() < 1e-10
 
 
-def test_map_from_dual_choi_needs_tracial():
-    rep = make_factor(2, [0.25, 0.75])
-    with pytest.raises(NotTracial):
-        map_from_dual_choi(np.eye(4), rep)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_map_from_dual_choi_roundtrip_at_any_weights(n):
+    rng = np.random.default_rng(53 + n)
+    rep = make_factor(n, rng.uniform(0.1, 1.0, n))
+    for k in (1, 2, 5):
+        phi = random_map(rng, n, k)
+        rebuilt = map_from_dual_choi(dual_choi(phi, rep), rep)
+        assert np.abs(rebuilt - transfer(phi)).max() < 1e-10
+
+
+def test_adjoint_choi_symmetry_at_any_weights():
+    # its claims concern choi, which the weights do not enter
+    rng = np.random.default_rng(59)
+    phi = random_hp_map(rng, 3, 4)
+    rep = make_factor(3, [0.2, 0.3, 0.5])
+    assert adjoint_choi_symmetry(phi, rep=rep) == adjoint_choi_symmetry(phi)
 
 
 def test_cancelling_presentation_vanishes():

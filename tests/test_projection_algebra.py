@@ -392,3 +392,22 @@ def test_rank_one_subprojection_takes_one_opnorm(monkeypatch):
         calls.clear()
         rank_one_subprojection(identity_element(rep))
         assert len(calls) == 1
+
+
+def test_rank_one_implementer_takes_no_opnorm(monkeypatch):
+    # its tests are scaled by the largest eigenvalue it already has
+    calls = []
+    norm = projection_algebra.opnorm
+
+    def counting(m):
+        calls.append(1)
+        return norm(m)
+
+    monkeypatch.setattr(projection_algebra, "opnorm", counting)
+    for rep in REPS:
+        x = np.eye(rep.n)
+        s = rank_one_implementer(PairSumElement(rep, ((x, x),)))
+        assert np.abs(s - np.eye(rep.n)).max() < 1e-12
+        with pytest.raises(NotRankOneProjection):
+            rank_one_implementer(identity_element(rep))
+    assert calls == []
