@@ -191,11 +191,20 @@ def subspace_coeffs(v, basis, tol: float = TOL_ALG) -> np.ndarray:
         if vnorm <= bound:
             return np.zeros(0, dtype=np.complex128)
         raise NotInSpan(vnorm)
-    a = np.stack(cols, axis=1)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(v))):
+    return _span_coeffs(np.stack(cols, axis=1), v[:, None], tol)[:, 0]
+
+
+def _span_coeffs(a: np.ndarray, vs: np.ndarray, tol: float) -> np.ndarray:
+    # Least-squares coefficients of every column of vs over the columns of
+    # a, from one factorization of a. Raises NotInSpan with the residual of
+    # the first column that its best approximation misses by more than
+    # tol * max(1, |column|), and NumericalFailure on an entry that is not a
+    # finite number.
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(vs))):
         raise NumericalFailure("cannot solve least squares: entries out of floating point range")
-    coeffs, *_ = np.linalg.lstsq(a, v, rcond=None)
-    residual = float(np.linalg.norm(v - a @ coeffs))
-    if residual > bound:
-        raise NotInSpan(residual)
+    coeffs, *_ = np.linalg.lstsq(a, vs, rcond=None)
+    residuals = np.linalg.norm(vs - a @ coeffs, axis=0)
+    missed = np.flatnonzero(residuals > tol * np.maximum(1.0, np.linalg.norm(vs, axis=0)))
+    if missed.size:
+        raise NotInSpan(float(residuals[missed[0]]))
     return coeffs

@@ -214,20 +214,49 @@ def kraus_apply(kd: KrausDecomposition, c) -> np.ndarray:
 # one call per probe costs little anyway.
 _STACK_BYTES = 1 << 16
 
+# The Cholesky certificate of check_cp allows gamma = _CERT_ROUNDING * dim *
+# (dim + 1) of rounding relative to ||herm(out)||_F at probe dimension dim: a
+# bound on the backward error of Cholesky, of eigvalsh and of the products
+# that form the exact path's scaled outputs, each of order dim^2 eps.
+_CERT_ROUNDING = 2.0 * np.finfo(np.float64).eps
 
-def _random_psd(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    # count psd matrices scaled to operator norm at most 1; each draws its
-    # real part and then its imaginary part, as one draw per probe would
+
+def _random_gram(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    # count psd Gram matrices g g*; each g draws its real part and then its
+    # imaginary part, as one draw per probe would
     s = rng.standard_normal((count, 2, dim, dim))
     g = s[:, 0] + 1j * s[:, 1]
-    m = g @ np.conj(g).swapaxes(1, 2)
+    return g @ np.conj(g).swapaxes(1, 2)
+
+
+def _unit_scaled(m: np.ndarray) -> np.ndarray:
+    # each matrix of the stack scaled to operator norm at most 1
     return m / np.maximum(1.0, np.linalg.norm(m, 2, axis=(1, 2)))[:, None, None]
+
+
+def _random_psd(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    # count random probes as the exact path measures them: psd, scaled to
+    # operator norm at most 1
+    return _unit_scaled(_random_gram(rng, count, dim))
 
 
 def _blocks_as_rows(m: np.ndarray, n: int) -> np.ndarray:
     # Row i*n + j of each matrix in the stack holds its block (i, j) read
     # out row-major; an involution.
     return m.reshape(-1, n, n, n, n).transpose(0, 1, 3, 2, 4).reshape(m.shape)
+
+
+def _amplified(x: np.ndarray, n: int, t_rows: np.ndarray) -> np.ndarray:
+    # (identity (x) phi)(x) for each matrix of the stack, t_rows the
+    # transposed transfer matrix of phi
+    return _blocks_as_rows(_blocks_as_rows(x, n) @ t_rows, n)
+
+
+def _hermitian_parts(out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the Hermitian part (out + out*)/2 of each output and its defect
+    # max |out - out*|
+    adj = np.conj(out).swapaxes(1, 2)
+    return (out + adj) / 2.0, np.max(np.abs(out - adj), axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -241,6 +270,41 @@ class ExtensionReport:
     seed: int
 
 
+def _probe_stacks(
+    n: int, trials: int, rep: FactorRep, seed: int
+) -> Iterator[tuple[np.ndarray, bool]]:
+    # The inputs of the probe pass: E as a stack of its own, then the seeded
+    # Gram stacks of `trials` random probes, each with whether it still has
+    # to be scaled to unit operator norm (E has norm one already).
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials!r}")
+    rng = np.random.default_rng(seed)
+    dim = n * n
+    per_stack = max(1, _STACK_BYTES // (16 * dim * dim))  # complex128 entries
+    x0 = rep.state_vector
+    yield np.outer(x0, np.conj(x0))[None], False
+    drawn = 0
+    while drawn < trials:
+        count = min(per_stack, trials - drawn)
+        yield _random_gram(rng, count, dim), True
+        drawn += count
+
+
+def _measured(out: np.ndarray, worst_low: float, worst_defect: float) -> tuple[float, float]:
+    # The exact evaluation of a stack of outputs: the running worst (lowest)
+    # eigenvalue and worst defect relative to max(1, ||out||), updated by
+    # the stack's. An output's SVD runs only when its bound cannot decide.
+    herm, defects = _hermitian_parts(out)
+    evals = np.linalg.eigvalsh(herm)
+    # max |eigenvalue| shrunk by far more than the eigensolver's and the
+    # SVD's rounding, so each bound stays above defect / max(1, ||out||)
+    bounds = defects / np.maximum(1.0, np.max(np.abs(evals), axis=1) * (1.0 - 1e-10))
+    for j, bound in enumerate(bounds.tolist()):
+        if bound > worst_defect:
+            worst_defect = max(worst_defect, float(defects[j]) / max(1.0, opnorm(out[j])))
+    return min([worst_low] + evals[:, 0].tolist()), worst_defect
+
+
 def _extension_probes(
     phi: PairSumMap, trials: int, rep: FactorRep, seed: int
 ) -> Iterator[tuple[float, float]]:
@@ -249,36 +313,56 @@ def _extension_probes(
     # which is a stack of its own, and after each stack of random probes.
     # Both running values are monotone and exact at every yield, so the
     # first yield that fails the tolerance decides the whole pass.
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials!r}")
-    rng = np.random.default_rng(seed)
-    n = phi.n
-    dim = n * n
     t_rows = transfer(phi).T
-    x0 = rep.state_vector
-    per_stack = max(1, _STACK_BYTES // (16 * dim * dim))  # complex128 entries
-    x = np.outer(x0, np.conj(x0))[None]
-    drawn = 0
-    worst_low = np.inf
-    worst_defect = 0.0
-    while True:
-        out = _blocks_as_rows(_blocks_as_rows(x, n) @ t_rows, n)
-        adj = np.conj(out).swapaxes(1, 2)
-        defects = np.max(np.abs(out - adj), axis=(1, 2))
-        evals = np.linalg.eigvalsh((out + adj) / 2.0)
-        # max |eigenvalue| shrunk by far more than the eigensolver's and the
-        # SVD's rounding, so each bound stays above defect / max(1, ||out||)
-        bounds = defects / np.maximum(1.0, np.max(np.abs(evals), axis=1) * (1.0 - 1e-10))
-        for j, bound in enumerate(bounds.tolist()):
-            if bound > worst_defect:
-                worst_defect = max(worst_defect, float(defects[j]) / max(1.0, opnorm(out[j])))
-        worst_low = min([worst_low] + evals[:, 0].tolist())
-        yield worst_low, worst_defect
-        if drawn == trials:
-            return
-        count = min(per_stack, trials - drawn)
-        x = _random_psd(rng, count, dim)
-        drawn += count
+    worst = (np.inf, 0.0)
+    for m, drawn in _probe_stacks(phi.n, trials, rep, seed):
+        worst = _measured(_amplified(_unit_scaled(m) if drawn else m, phi.n, t_rows), *worst)
+        yield worst
+
+
+def _certified(m: np.ndarray, out: np.ndarray, tol: float) -> bool:
+    # Whether every output of the stack, out = (identity (x) phi)(m) for
+    # unscaled probes m, passes the exact test of its probe scaled to
+    # m / s, s = max(1, ||m||): a Cholesky of herm(out) + c I succeeding
+    # proves lambda_min(herm(out)) > -c up to Cholesky's backward error, and
+    # c = tol s_lo - gamma ||herm(out)||_F with s_lo = max(1, ||m||_F /
+    # sqrt(dim)) <= s leaves gamma to cover that error, eigvalsh's and the
+    # scaling's. The defect is held to tol s_lo (1 - gamma) <= tol s.
+    dim = out.shape[-1]
+    if not np.all(np.isfinite(out)):
+        return False
+    gamma = _CERT_ROUNDING * dim * (dim + 1)
+    herm, defects = _hermitian_parts(out)
+    s_lo = np.maximum(1.0, np.linalg.norm(m, axis=(1, 2)) / np.sqrt(dim))
+    shift = tol * s_lo - gamma * np.linalg.norm(herm, axis=(1, 2))
+    if not (np.all(shift > 0.0) and np.all(defects <= tol * s_lo * (1.0 - gamma))):
+        return False
+    diagonal = np.arange(dim)
+    herm[:, diagonal, diagonal] += shift[:, None]
+    try:
+        np.linalg.cholesky(herm)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _cp_probes_pass(phi: PairSumMap, trials: int, rep: FactorRep, seed: int, tol: float) -> bool:
+    # check_cp's verdict on the probes of extension_positivity_check: each
+    # stack is certified from its unscaled outputs, or, where the
+    # certificate cannot decide, measured as that check measures it. The
+    # first failing stack ends the pass: the verdict cannot change after it.
+    t_rows = transfer(phi).T
+    for m, drawn in _probe_stacks(phi.n, trials, rep, seed):
+        out = _amplified(m, phi.n, t_rows)
+        if _certified(m, out, tol):
+            continue
+        if drawn:
+            out = _amplified(_unit_scaled(m), phi.n, t_rows)
+        # the worst defect starts at tol: an output needs its SVD only when
+        # its bound exceeds tol
+        if not _within(*_measured(out, np.inf, tol), tol):
+            return False
+    return True
 
 
 def _within(low: float, defect: float, tol: float) -> bool:
@@ -356,18 +440,27 @@ def check_cp(
 
     In finite dimension the lifted formula of (2) applied to X is
     (identity (x) phi)(X), so (1) and (2) read their verdict from one
-    probe pass, the one of extension_positivity_check. Here the pass ends
-    at the first probe that fails: the running worst eigenvalue and defect
-    only get worse, so the remaining probes cannot change the verdict.
-    extension_positivity_check itself still evaluates and reports every
+    probe pass over the probes of extension_positivity_check, drawn
+    alike. Only the verdict is needed, so each stack of unscaled probes
+    m = g g* is certified by one Cholesky of herm(out) + c I, out =
+    (identity (x) phi)(m), at c = tol s_lo - gamma ||herm(out)||_F with
+    s_lo = max(1, ||m||_F / sqrt(dim)) <= max(1, ||m||), the probe's
+    scale, and gamma = 2 dim (dim + 1) eps, a margin for the rounding of
+    Cholesky, of eigvalsh and of the scaling; the defect must be at most
+    tol s_lo (1 - gamma). A stack the certificate cannot decide (c <= 0,
+    a failed Cholesky, a larger defect or an entry that is not finite) is
+    re-run on the exact path, scaled to unit norm and diagonalized, so
+    the verdict is the one the exact pass gives. The pass ends at the
+    first probe that fails: the running worst eigenvalue and defect only
+    get worse, so the remaining probes cannot change the verdict.
+    extension_positivity_check itself still measures and reports every
     probe.
 
     Raises InternalDisagreement when the verdicts conflict, and ValueError
     when trials < 0.
     """
     rep = _resolve_rep(phi, rep)
-    ext_ok = all(_within(low, defect, tol)
-                 for low, defect in _extension_probes(phi, trials, rep, seed))
+    ext_ok = _cp_probes_pass(phi, trials, rep, seed, tol)
 
     d = dual_choi(phi, rep)
     kraus_ok = False

@@ -30,8 +30,8 @@ from .factor import (
     implementer_from_vector,
     vector_state,
 )
-from .linalg import (TOL_ALG, dagger, hermitian_eig, hermitian_part, matrix_units,
-                     opnorm, subspace_coeffs)
+from .linalg import (TOL_ALG, _span_coeffs, dagger, hermitian_eig, hermitian_part,
+                     matrix_units, opnorm, subspace_coeffs)
 
 # Relative gap below which kept eigenvalues share one spectral projection.
 _SPECTRAL_CLUSTER_RTOL = 1e-8
@@ -275,10 +275,12 @@ def spectral_decompose(t: PairSumElement, tol: float = 1e-9) -> SpectralDecompos
     # zero constant term, hence must sit inside the span of the frames of
     # the terms (A_i, B_j), ordered i * len(t) + j
     frames = _frames(t.rep, np.repeat(t.a, len(t), axis=0), np.tile(t.b, (len(t), 1, 1)))
-    # one spectral projection per run of kept eigenvalues closer than the gap
+    # one spectral projection per run of kept eigenvalues closer than the gap,
+    # all checked by one least-squares solve
     cuts = np.flatnonzero(~(np.abs(np.diff(evals[keep])) <= _SPECTRAL_CLUSTER_RTOL * scale))
-    for cluster in np.split(keep, cuts + 1) if len(keep) else ():
-        cols = evecs[:, cluster]
-        subspace_coeffs((cols @ dagger(cols)).reshape(-1), frames, tol=_SPECTRAL_CLUSTER_RTOL)
+    if len(keep):
+        projections = [(evecs[:, c] @ dagger(evecs[:, c])).reshape(-1)
+                       for c in np.split(keep, cuts + 1)]
+        _span_coeffs(frames.T, np.stack(projections, axis=1), _SPECTRAL_CLUSTER_RTOL)
 
     return SpectralDecomposition(rep=t.rep, items=items)

@@ -153,6 +153,37 @@ def test_cli_huge_entries_print_only_the_error_line(tmp_path, name):
             assert err.startswith("error:") and err.count("\n") == 1
 
 
+# The exit code and error line of each subcommand on each document. An
+# overflowed probe output of cp is never certified positive: it reaches
+# the exact eigensolver, which gives up on it.
+_LSTSQ = "error: cannot solve least squares: entries out of floating point range\n"
+_OPNORM = "error: cannot take the operator norm: entries out of floating point range\n"
+_EIGVALSH = "error: numerical failure: Eigenvalues did not converge\n"
+HUGE_OUTCOMES = {
+    "a": {"choi": (0, ""), "dphi": (0, ""), "adjoint": (0, ""), "cp": (0, ""),
+          "kraus": (0, ""), "positive": (0, ""),
+          "spectral": (2, "error: self-adjointness defect 5.000e+199\n")},
+    "ab": {"choi": (2, "error: cannot serialize inf: the result is not a finite number\n"),
+           "dphi": (2, "error: cannot serialize inf: the result is not a finite number\n"),
+           "adjoint": (0, ""), "cp": (2, _EIGVALSH),
+           "kraus": (2, "error: cannot serialize nan: the result is not a finite number\n"),
+           "positive": (2, _OPNORM), "spectral": (2, _LSTSQ)},
+    "ab_weighted": {"choi": (2, "error: cannot serialize nan: the result is not a finite number\n"),
+                    "dphi": (2, "error: cannot serialize inf: the result is not a finite number\n"),
+                    "adjoint": (0, ""), "cp": (2, _EIGVALSH), "kraus": (2, _OPNORM),
+                    "positive": (2, _OPNORM), "spectral": (2, _OPNORM)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_DOCS))
+def test_cli_huge_entries_keep_their_exit_codes_and_error_lines(tmp_path, name):
+    path = tmp_path / f"huge_{name}.json"
+    path.write_text(HUGE_DOCS[name], encoding="utf-8")
+    for cmd, outcome in HUGE_OUTCOMES[name].items():
+        code, _, err = run_cli([cmd, str(path)])
+        assert (code, err) == outcome, cmd
+
+
 def test_cli_huge_entries_leave_stdout_empty_on_exit_2(tmp_path):
     # LAPACK reports inf or NaN arguments by printing to the process's stdout
     # from C, which only a separate process shows

@@ -594,18 +594,57 @@ def test_probe_pass_yields_the_report_of_each_prefix(n, trials):
 
 def test_check_cp_on_the_transpose_draws_no_random_probe(monkeypatch):
     calls = []
-    draw = maps._random_psd
+    draw = maps._random_gram
 
     def counting(rng, count, dim):
         calls.append(count)
         return draw(rng, count, dim)
 
-    monkeypatch.setattr(maps, "_random_psd", counting)
+    monkeypatch.setattr(maps, "_random_gram", counting)
     assert not check_cp(transpose_map(8)).cp
     assert calls == []
     # the counter sees the draws of a pass that runs to the end
     assert check_cp(identity_map(4)).cp
     assert sum(calls) == 64
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_certified_probe_verdicts_match_the_exact_pass_across_the_band(n, weighted):
+    # check_cp certifies each probe stack by a Cholesky with a rounding margin
+    # and measures the stacks it cannot certify as extension_positivity_check
+    # does. The band identity + t * transpose, t across (tol/n, n tol), puts
+    # E's lowest output eigenvalue -t/n (uniform weights) in (-tol, -tol/n^2);
+    # scaled by 1e6 and 1e7, ||out|| eps approaches and passes tol, so the
+    # margin, not the shift, decides whether the certificate may answer, and
+    # the exact path's own rounding decides its verdict
+    rng = np.random.default_rng(130 + n)
+    rep = make_factor(n, rng.uniform(0.2, 1.0, n)) if weighted else make_factor(n)
+    trials = 8
+    for scale in (1.0, 1e6, 1e7):
+        for t in np.geomspace(1e-9 / n, n * 1e-9, 6):
+            phi = map_scale(_band_map(n, t / scale), scale)
+            report = _cp_report(phi, rep, trials=trials, seed=5)
+            ext = extension_positivity_check(phi, trials=trials, rep=rep, seed=5)
+            assert report.extension_positive == ext.positive, (scale, t)
+
+
+def test_check_cp_measures_only_the_probes_it_cannot_certify(monkeypatch):
+    measured = []
+    measure = maps._measured
+
+    def counting(out, worst_low, worst_defect):
+        measured.append(len(out))
+        return measure(out, worst_low, worst_defect)
+
+    monkeypatch.setattr(maps, "_measured", counting)
+    rng = np.random.default_rng(140)
+    for phi in (identity_map(4), random_cp_map(rng, 4, 3), random_cp_map(rng, 8, 2)):
+        assert check_cp(phi).cp
+    assert measured == []
+    # at 1e6 the rounding margin exceeds tol on every probe: all 65 are measured
+    assert check_cp(map_scale(identity_map(4), 1e6)).cp
+    assert sum(measured) == 65
 
 
 def test_negative_trials_are_refused():

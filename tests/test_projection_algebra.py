@@ -342,6 +342,22 @@ def test_spectral_random_selfadjoint(rep):
                 assert np.abs(projs[i] @ projs[j] - want).max() < 1e-10
 
 
+def test_spectral_decompose_checks_every_cluster_in_one_solve(monkeypatch):
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(a, b, rcond=None):
+        calls.append(b.shape)
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    rng = np.random.default_rng(49)
+    t = PairSumElement(make_factor(3), random_selfadjoint_terms(rng, 3, 3))
+    sd = spectral_decompose(t)
+    assert len(sd) == 6
+    assert calls == [(81, 6)]
+
+
 def test_spectral_rejects_non_selfadjoint():
     rng = np.random.default_rng(47)
     t = PairSumElement(TRACIAL2, ((cgauss(rng, 2, 2), cgauss(rng, 2, 2)),))

@@ -1,6 +1,7 @@
 """Property tests: the operators of a pair-sum depend on the sum, not on
-how its terms are presented, and the element calculus matches dense
-matrices.
+how its terms are presented, the element calculus matches dense
+matrices, Kraus operators rebuild a completely positive map, and the CP
+verdict does not see a unitary change of basis on either side.
 
 Examples are drawn by hypothesis with a fixed seed (derandomize=True), at
 n <= 4 and at most a few terms, so the suite runs the same cases every
@@ -14,14 +15,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from choifactor import (
+    InternalDisagreement,
     PairSumElement,
     PairSumMap,
     adjoint_map,
     apply_map,
+    check_cp,
     choi,
     dual_choi,
     element_adjoint,
     element_product,
+    kraus_decompose,
     make_factor,
     materialize,
     transfer,
@@ -117,3 +121,53 @@ def test_adjoint_map_is_an_involution(case):
     n, pairs, _, _ = case
     twice = adjoint_map(adjoint_map(PairSumMap(n, pairs)))
     assert np.array_equal(np.array(twice.terms), pairs)
+
+
+def _kraus_pairs(pairs):
+    # the completely positive map C -> sum_i A_i* C A_i of the A sides
+    a = pairs[:, 0]
+    return np.stack((np.conj(a).swapaxes(1, 2), a), axis=1)
+
+
+@PROPERTY_SETTINGS
+@given(pair_sums())
+def test_kraus_operators_rebuild_the_transfer_matrix(case):
+    n, pairs, rep, _ = case
+    phi = PairSumMap(n, _kraus_pairs(pairs))
+    kd = kraus_decompose(phi, rep)
+    v = np.array(kd.ops, dtype=np.complex128).reshape(-1, n, n)
+    rebuilt = PairSumMap(n, np.stack((np.conj(v).swapaxes(1, 2), v), axis=1))
+    # an operator V_j = sqrt(c_j) S_j has omega(S_j* S_j) = 1, so |S_j|^2 is at
+    # most 1 / min(w); the eigenvalues dropped at tol = 1e-9 and the
+    # eigensolver's rounding, relative to sum |A_i|^2, pass through it
+    size = float(np.sum(np.abs(pairs[:, 0]) ** 2))
+    bound = n**3 * (1e-9 + RTOL * (1.0 + size)) / float(np.min(rep.weights))
+    assert np.max(np.abs(transfer(rebuilt) - transfer(phi))) <= bound
+
+
+def _unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _cp_verdict(phi, rep):
+    try:
+        return check_cp(phi, rep=rep).cp
+    except InternalDisagreement as exc:
+        return exc.report.cp
+
+
+@PROPERTY_SETTINGS
+@given(pair_sums(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_cp_verdict_ignores_a_unitary_change_of_basis(case, kraus, seed):
+    # C -> U* phi(W C W*) U has the pairs (U* A_i W, W* B_i U), and its Choi
+    # matrix is unitarily similar to phi's
+    n, pairs, rep, _ = case
+    if kraus:
+        pairs = _kraus_pairs(pairs)
+    rng = np.random.default_rng(seed)
+    u, w = _unitary(rng, n), _unitary(rng, n)
+    a = np.conj(u).T @ pairs[:, 0] @ w
+    b = np.conj(w).T @ pairs[:, 1] @ u
+    turned = PairSumMap(n, np.stack((a, b), axis=1))
+    assert _cp_verdict(turned, rep) == _cp_verdict(PairSumMap(n, pairs), rep)
