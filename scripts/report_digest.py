@@ -23,7 +23,8 @@ Seven digests are printed, each with the number of records behind it:
     positive      fields and witness bytes of the check_positive certificate
                   at n in {2, 3}, restarts in {1, 32}, with the grid oracle
                   at n = 2; the random maps do not preserve Hermiticity
-                  and take the direct path
+                  and take the direct path, which is also run on the
+                  random maps at n in {4, 6}
     spectral      coefficients and implementer bytes of spectral_decompose,
                   or the error it raises, and for the projections the term
                   bytes of rank_one_subprojection
@@ -85,6 +86,7 @@ EXTENSION_TRIALS = (0, 1, 2, 3, 4, 64)
 KRAUS_TOLS = (1e-9, 1e-3)
 BAND_CELLS = 6
 POSITIVE_SIZES = (2, 3)
+DIRECT_SIZES = (4, 6)  # the direct path only: the see-saw is slow there
 POSITIVE_RESTARTS = (1, 32)
 SPECTRAL_SIZES = (2, 3, 4)
 
@@ -222,7 +224,7 @@ def main() -> int:
             payload = repr(kd.coefficients).encode() + b"".join(v.tobytes() for v in kd.ops)
             record("kraus", f"{label} tol={tol!r}", payload)
             record("algebra", f"{label} tol={tol!r} kraus_apply", kraus_apply(kd, c).tobytes())
-        if phi.n in POSITIVE_SIZES:
+        if phi.n in POSITIVE_SIZES or (phi.n in DIRECT_SIZES and label.startswith("random ")):
             for restarts in POSITIVE_RESTARTS:
                 cert = check_positive(phi, rep, restarts=restarts, tol=TOL, seed=restarts,
                                       oracle=phi.n == 2)

@@ -132,15 +132,15 @@ def _cmd_spectral(args) -> tuple[dict, bool]:
     return doc, True
 
 
-def _int_at_least(low: int):
-    # argparse type: an integer >= low, else a usage error with exit 2
-    def parse(text: str) -> int:
+def _at_least(kind, low):
+    # argparse type: a finite int or float >= low, else a usage error with exit 2
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not low <= value < float("inf"):  # a NaN is refused too
+            raise argparse.ArgumentTypeError(f"must be a finite number >= {low}, got {text}")
         return value
 
     return parse
@@ -173,26 +173,26 @@ def build_parser() -> argparse.ArgumentParser:
     add("adjoint", _cmd_adjoint, "trace-pairing adjoint, emitted as a map file")
 
     p = add("cp", _cmd_cp, "five-way complete positivity report", verdict=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--trials", type=_int_at_least(0), default=64)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--tol", type=_at_least(float, 0), default=1e-9)
+    p.add_argument("--trials", type=_at_least(int, 0), default=64)
+    p.add_argument("--seed", type=_at_least(int, 0), default=42)
 
     p = add("kraus", _cmd_kraus, "Kraus operators from the dual Choi operator",
             verdict=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_at_least(float, 0), default=1e-9)
 
     p = add("positive", _cmd_positive, "positivity certificate via product pairings",
             verdict=True)
-    p.add_argument("--restarts", type=_int_at_least(1), default=32)
-    p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--restarts", type=_at_least(int, 1), default=32)
+    p.add_argument("--iters", type=_at_least(int, 0), default=500)
+    p.add_argument("--tol", type=_at_least(float, 0), default=1e-9)
+    p.add_argument("--seed", type=_at_least(int, 0), default=42)
     p.add_argument("--oracle", action="store_true",
                    help="confirm with the dense grid search (n = 2 only)")
-    p.add_argument("--resolution", type=_int_at_least(1), default=90)
+    p.add_argument("--resolution", type=_at_least(int, 1), default=90)
 
     p = add("spectral", _cmd_spectral, "spectral decomposition of an element file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_at_least(float, 0), default=1e-9)
 
     return parser
 

@@ -8,6 +8,11 @@ within tol when max |m - m*| is not above tol * max(1, opnorm(m)), and
 what is then tested or diagonalized is its Hermitian part (m + m*)/2.
 hermitian_part applies the rule and psd_within adds the test that the
 Hermitian part's lowest eigenvalue is >= -tol.
+
+Each numerical primitive has one implementation here, which every module
+calls: the Hermitian split (m + m*)/2 with max |m - m*|, the finiteness
+guard ahead of every LAPACK call, the eigensolver entry, the cut of a
+sorted spectrum into clusters, modified Gram-Schmidt and least squares.
 """
 from __future__ import annotations
 
@@ -37,21 +42,33 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_complex(a), as_complex(b))
 
 
+def _require_finite(action: str, *arrays: np.ndarray) -> None:
+    # LAPACK given an inf or NaN entry prints to stdout, fails or returns
+    # made-up numbers, so every call into it is guarded here first
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise NumericalFailure(f"cannot {action}: entries out of floating point range")
+
+
 def opnorm(m) -> float:
     """Operator (spectral) norm. An entry that is not a finite number raises
     NumericalFailure: LAPACK's SVD would print to stdout and then fail."""
     m = as_complex(m)
     if m.size == 0:
         return 0.0
-    if not np.all(np.isfinite(m)):
-        raise NumericalFailure("cannot take the operator norm: entries out of floating point range")
+    _require_finite("take the operator norm", m)
     return float(np.linalg.norm(m, 2))
+
+
+def _hermitian_split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (m + m*)/2 and max |m - m*| over the last two axes, for one matrix or
+    # a stack of them
+    adj = dagger(m)
+    return (m + adj) / 2.0, np.max(np.abs(m - adj), axis=(-2, -1), initial=0.0)
 
 
 def hermiticity_defect(m) -> float:
     """Entrywise max of |m - m*|."""
-    m = as_complex(m)
-    return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
+    return float(_hermitian_split(as_complex(m))[1])
 
 
 def scaled_tol(x: float, tol: float, m) -> float:
@@ -68,14 +85,17 @@ def hermitian_part(m, tol: float) -> tuple[np.ndarray, float, bool]:
     """(m + m*)/2, the defect max |m - m*|, and whether the defect is
     within tol * max(1, opnorm(m)); the SVD runs only when defect > tol."""
     m = as_complex(m)
-    defect = hermiticity_defect(m)
-    return (m + dagger(m)) / 2.0, defect, not defect > scaled_tol(defect, tol, m)
+    herm, defect = _hermitian_split(m)
+    defect = float(defect)
+    return herm, defect, not defect > scaled_tol(defect, tol, m)
 
 
 def psd_within(m, tol: float) -> tuple[bool, float]:
     """Whether m is Hermitian and psd within tol, and the lowest eigenvalue
-    of its Hermitian part."""
+    of its Hermitian part. Raises NumericalFailure on an entry that is not
+    a finite number."""
     herm, _, hermitian = hermitian_part(m, tol)
+    _require_finite("diagonalize", herm)
     low = float(np.linalg.eigvalsh(herm)[0])
     return hermitian and low >= -tol, low
 
@@ -101,40 +121,40 @@ def canonical_phase(v: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return v
 
 
-def _canonical_span_basis(cols: np.ndarray) -> np.ndarray:
-    # Replace an arbitrary orthonormal basis of a subspace by the one obtained
-    # from projecting standard basis vectors, orthonormalized in index order.
-    # Depends only on the subspace, not on the basis the eigensolver returned.
-    d, m = cols.shape
-    proj = cols @ dagger(cols)
-    out: list[np.ndarray] = []
-    for i in range(d):
-        cand = proj[:, i].copy()
-        for q in out:
-            cand -= q * np.vdot(q, cand)
-        nrm = np.linalg.norm(cand)
-        if nrm > 1e-6:
-            out.append(cand / nrm)
-        if len(out) == m:
+def _gram_schmidt(vectors: np.ndarray, floors: np.ndarray,
+                  stop: int | None = None) -> tuple[list[int], list[np.ndarray]]:
+    # Modified Gram-Schmidt over the rows in index order: row i is kept when
+    # its residual is longer than floors[i], until `stop` rows are kept.
+    # Returns the kept indices and their orthonormal vectors.
+    kept: list[int] = []
+    basis: list[np.ndarray] = []
+    for i, resid in enumerate(vectors.copy()):
+        if len(basis) == stop:
             break
-    if len(out) < m:  # cannot happen for a genuine rank-m projection
-        return cols
-    return np.stack(out, axis=1)
+        for q in basis:
+            resid -= q * np.vdot(q, resid)
+        nrm = np.linalg.norm(resid)
+        if nrm > floors[i]:
+            kept.append(i)
+            basis.append(resid / nrm)
+    return kept, basis
 
 
-def _descending_eigh(m, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
-    # eigh of the Hermitian part, eigenvalues descending, plus the cluster
-    # scale max(1, max |eigenvalue|)
-    m = as_complex(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    herm, defect, hermitian = hermitian_part(m, tol)
-    if not hermitian:
-        bound = tol * max(1.0, opnorm(m))
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {bound:.3e}")
+def _descending_eigh(herm: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    # eigh of a Hermitian part its caller has made, eigenvalues descending,
+    # plus the cluster scale max(1, max |eigenvalue|); NumericalFailure on an
+    # entry that is not a finite number
+    _require_finite("diagonalize", herm)
     w, v = np.linalg.eigh(herm)
     scale = max(1.0, float(np.max(np.abs(w), initial=0.0)))
     return w[::-1].copy(), v[:, ::-1].copy(), scale
+
+
+def _cluster_runs(values: np.ndarray, gap: float) -> list[np.ndarray]:
+    # The index runs, in order, of sorted values whose neighbours are at
+    # most gap apart; a NaN cuts, and no values give no runs.
+    cuts = np.flatnonzero(~(np.abs(np.diff(values)) <= gap)) + 1
+    return np.split(np.arange(len(values)), cuts) if len(values) else []
 
 
 def _canonicalize(w: np.ndarray, v: np.ndarray, scale: float, above: float | None = None) -> None:
@@ -144,18 +164,18 @@ def _canonicalize(w: np.ndarray, v: np.ndarray, scale: float, above: float | Non
     # is kept, as by a caller keeping the columns with not c <= above).
     # Clusters are cut over all of w either way, so a column's bits do not
     # depend on `above`.
-    i = 0
-    k = len(w)
-    while i < k:
-        j = i + 1
-        while j < k and abs(w[j - 1] - w[j]) <= _CLUSTER_RTOL * scale:
-            j += 1
-        if above is None or not w[i] <= above:
-            if j - i > 1:
-                v[:, i:j] = _canonical_span_basis(v[:, i:j])
-            for c in range(i, j):
+    for run in _cluster_runs(w, _CLUSTER_RTOL * scale):
+        if above is None or not w[run[0]] <= above:
+            if len(run) > 1:
+                # project the standard basis vectors onto the span and
+                # orthonormalize them in index order: the result depends
+                # only on the span, not on the basis eigh returned
+                cols = v[:, run]
+                _, basis = _gram_schmidt((cols @ dagger(cols)).T, np.full(len(v), 1e-6), len(run))
+                if len(basis) == len(run):  # fewer cannot happen for a genuine projection
+                    v[:, run] = np.stack(basis, axis=1)
+            for c in run:
                 v[:, c] = canonical_phase(v[:, c])
-        i = j
 
 
 def hermitian_eig(m, tol: float = TOL_ALG) -> tuple[np.ndarray, np.ndarray]:
@@ -165,9 +185,17 @@ def hermitian_eig(m, tol: float = TOL_ALG) -> tuple[np.ndarray, np.ndarray]:
     and eigenvectors as orthonormal columns. Degenerate eigenspaces get a
     canonical basis and every column a canonical phase, so equal inputs give
     bitwise equal outputs. Raises NotHermitian if max |m - m*| exceeds
-    tol * max(1, opnorm(m)).
+    tol * max(1, opnorm(m)), and NumericalFailure on an entry that is not a
+    finite number.
     """
-    w, v, scale = _descending_eigh(m, tol)
+    m = as_complex(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    herm, defect, hermitian = hermitian_part(m, tol)
+    if not hermitian:
+        bound = tol * max(1.0, opnorm(m))
+        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {bound:.3e}")
+    w, v, scale = _descending_eigh(herm)
     _canonicalize(w, v, scale)
     return w, v
 
@@ -200,8 +228,7 @@ def _span_coeffs(a: np.ndarray, vs: np.ndarray, tol: float) -> np.ndarray:
     # the first column that its best approximation misses by more than
     # tol * max(1, |column|), and NumericalFailure on an entry that is not a
     # finite number.
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(vs))):
-        raise NumericalFailure("cannot solve least squares: entries out of floating point range")
+    _require_finite("solve least squares", a, vs)
     coeffs, *_ = np.linalg.lstsq(a, vs, rcond=None)
     residuals = np.linalg.norm(vs - a @ coeffs, axis=0)
     missed = np.flatnonzero(residuals > tol * np.maximum(1.0, np.linalg.norm(vs, axis=0)))

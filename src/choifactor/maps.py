@@ -26,12 +26,14 @@ from .errors import (
     DimensionMismatch,
     InternalDisagreement,
     NotPositive,
+    NumericalFailure,
     RepMismatch,
 )
-from .factor import FactorRep, implementer_from_vector, make_factor
+from .factor import FactorRep, implementer_from_vector, make_factor, state_projection
 from .linalg import (
     _canonicalize,
     _descending_eigh,
+    _hermitian_split,
     as_complex,
     dagger,
     hermitian_part,
@@ -183,7 +185,7 @@ def kraus_decompose(
 
 def _kraus_from_dual_choi(d: np.ndarray, rep: FactorRep, tol: float) -> KrausDecomposition:
     herm, defect, hermitian = hermitian_part(d, tol)
-    evals, evecs, scale = _descending_eigh(herm, tol=max(tol, 1e-6))
+    evals, evecs, scale = _descending_eigh(herm)
     if not hermitian:
         raise NotPositive(float(evals[-1]), hermiticity_defect=defect,
                           message="dual Choi operator is not Hermitian")
@@ -234,12 +236,6 @@ def _unit_scaled(m: np.ndarray) -> np.ndarray:
     return m / np.maximum(1.0, np.linalg.norm(m, 2, axis=(1, 2)))[:, None, None]
 
 
-def _random_psd(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    # count random probes as the exact path measures them: psd, scaled to
-    # operator norm at most 1
-    return _unit_scaled(_random_gram(rng, count, dim))
-
-
 def _blocks_as_rows(m: np.ndarray, n: int) -> np.ndarray:
     # Row i*n + j of each matrix in the stack holds its block (i, j) read
     # out row-major; an involution.
@@ -250,13 +246,6 @@ def _amplified(x: np.ndarray, n: int, t_rows: np.ndarray) -> np.ndarray:
     # (identity (x) phi)(x) for each matrix of the stack, t_rows the
     # transposed transfer matrix of phi
     return _blocks_as_rows(_blocks_as_rows(x, n) @ t_rows, n)
-
-
-def _hermitian_parts(out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the Hermitian part (out + out*)/2 of each output and its defect
-    # max |out - out*|
-    adj = np.conj(out).swapaxes(1, 2)
-    return (out + adj) / 2.0, np.max(np.abs(out - adj), axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -281,8 +270,7 @@ def _probe_stacks(
     rng = np.random.default_rng(seed)
     dim = n * n
     per_stack = max(1, _STACK_BYTES // (16 * dim * dim))  # complex128 entries
-    x0 = rep.state_vector
-    yield np.outer(x0, np.conj(x0))[None], False
+    yield state_projection(rep)[1][None], False
     drawn = 0
     while drawn < trials:
         count = min(per_stack, trials - drawn)
@@ -294,7 +282,7 @@ def _measured(out: np.ndarray, worst_low: float, worst_defect: float) -> tuple[f
     # The exact evaluation of a stack of outputs: the running worst (lowest)
     # eigenvalue and worst defect relative to max(1, ||out||), updated by
     # the stack's. An output's SVD runs only when its bound cannot decide.
-    herm, defects = _hermitian_parts(out)
+    herm, defects = _hermitian_split(out)
     evals = np.linalg.eigvalsh(herm)
     # max |eigenvalue| shrunk by far more than the eigensolver's and the
     # SVD's rounding, so each bound stays above defect / max(1, ||out||)
@@ -332,7 +320,7 @@ def _certified(m: np.ndarray, out: np.ndarray, tol: float) -> bool:
     if not np.all(np.isfinite(out)):
         return False
     gamma = _CERT_ROUNDING * dim * (dim + 1)
-    herm, defects = _hermitian_parts(out)
+    herm, defects = _hermitian_split(out)
     s_lo = np.maximum(1.0, np.linalg.norm(m, axis=(1, 2)) / np.sqrt(dim))
     shift = tol * s_lo - gamma * np.linalg.norm(herm, axis=(1, 2))
     if not (np.all(shift > 0.0) and np.all(defects <= tol * s_lo * (1.0 - gamma))):
@@ -346,18 +334,19 @@ def _certified(m: np.ndarray, out: np.ndarray, tol: float) -> bool:
     return True
 
 
-def _cp_probes_pass(phi: PairSumMap, trials: int, rep: FactorRep, seed: int, tol: float) -> bool:
-    # check_cp's verdict on the probes of extension_positivity_check: each
-    # stack is certified from its unscaled outputs, or, where the
-    # certificate cannot decide, measured as that check measures it. The
-    # first failing stack ends the pass: the verdict cannot change after it.
-    t_rows = transfer(phi).T
-    for m, drawn in _probe_stacks(phi.n, trials, rep, seed):
-        out = _amplified(m, phi.n, t_rows)
+def _cp_probes_pass(n: int, t_rows: np.ndarray, trials: int, rep: FactorRep, seed: int,
+                    tol: float) -> bool:
+    # check_cp's verdict on the probes of extension_positivity_check, t_rows
+    # the transposed transfer matrix of the map: each stack is certified
+    # from its unscaled outputs, or, where the certificate cannot decide,
+    # measured as that check measures it. The first failing stack ends the
+    # pass: the verdict cannot change after it.
+    for m, drawn in _probe_stacks(n, trials, rep, seed):
+        out = _amplified(m, n, t_rows)
         if _certified(m, out, tol):
             continue
         if drawn:
-            out = _amplified(_unit_scaled(m), phi.n, t_rows)
+            out = _amplified(_unit_scaled(m), n, t_rows)
         # the worst defect starts at tol: an output needs its SVD only when
         # its bound exceeds tol
         if not _within(*_measured(out, np.inf, tol), tol):
@@ -441,26 +430,19 @@ def check_cp(
     In finite dimension the lifted formula of (2) applied to X is
     (identity (x) phi)(X), so (1) and (2) read their verdict from one
     probe pass over the probes of extension_positivity_check, drawn
-    alike. Only the verdict is needed, so each stack of unscaled probes
-    m = g g* is certified by one Cholesky of herm(out) + c I, out =
-    (identity (x) phi)(m), at c = tol s_lo - gamma ||herm(out)||_F with
-    s_lo = max(1, ||m||_F / sqrt(dim)) <= max(1, ||m||), the probe's
-    scale, and gamma = 2 dim (dim + 1) eps, a margin for the rounding of
-    Cholesky, of eigvalsh and of the scaling; the defect must be at most
-    tol s_lo (1 - gamma). A stack the certificate cannot decide (c <= 0,
-    a failed Cholesky, a larger defect or an entry that is not finite) is
-    re-run on the exact path, scaled to unit norm and diagonalized, so
-    the verdict is the one the exact pass gives. The pass ends at the
-    first probe that fails: the running worst eigenvalue and defect only
-    get worse, so the remaining probes cannot change the verdict.
-    extension_positivity_check itself still measures and reports every
-    probe.
+    alike. Its verdict is the one that check gives at tol: a stack of
+    probes whose outputs a Cholesky certificate proves positive with room
+    for rounding is not measured, any other stack is measured exactly, and
+    the pass ends at the first failing probe, since the rest cannot change
+    the verdict. extension_positivity_check itself still measures and
+    reports every probe.
 
     Raises InternalDisagreement when the verdicts conflict, and ValueError
     when trials < 0.
     """
     rep = _resolve_rep(phi, rep)
-    ext_ok = _cp_probes_pass(phi, trials, rep, seed, tol)
+    t = transfer(phi)
+    ext_ok = _cp_probes_pass(phi.n, t.T, trials, rep, seed, tol)
 
     d = dual_choi(phi, rep)
     kraus_ok = False
@@ -469,7 +451,6 @@ def check_cp(
     except NotPositive:
         kd = None
     if kd is not None:
-        t = transfer(phi)
         v = np.array(kd.ops, dtype=np.complex128).reshape(-1, phi.n, phi.n)
         t_kraus = transfer(PairSumMap(phi.n, np.stack((dagger(v), v), axis=1)))
         worst = float(np.max(np.abs(t_kraus - t)))
@@ -521,7 +502,8 @@ def adjoint_choi_symmetry(
     (c) the two Choi matrices are psd together or not at all.
 
     All three concern choi, which does not depend on the weights, so rep
-    only has to have phi's dimension.
+    only has to have phi's dimension. The minimum eigenvalues are NaN when
+    choi(phi) is out of floating point range.
     """
     _resolve_rep(phi, rep)
     c = choi(phi)
@@ -535,8 +517,11 @@ def adjoint_choi_symmetry(
     # a NaN (overflowed) defect passes the rule but is not reported Hermitian
     hermitian = hermitian and not np.isnan(defect)
     conj_err = float(np.max(np.abs(c_adj - np.conj(swapped)))) if hermitian else None
-    _, low_c = psd_within(c, tol)
-    _, low_a = psd_within(c_adj, tol)
+    try:
+        low_c, low_a = psd_within(c, tol)[1], psd_within(c_adj, tol)[1]
+    except NumericalFailure:
+        # an overflowed Choi matrix has no eigenvalues to report
+        low_c = low_a = np.nan
     agree = (low_c >= -tol) == (low_a >= -tol) if hermitian else True
     return AdjointSymmetryReport(
         swap_transpose_error=swap_err,

@@ -30,8 +30,9 @@ from .factor import (
     implementer_from_vector,
     vector_state,
 )
-from .linalg import (TOL_ALG, _span_coeffs, dagger, hermitian_eig, hermitian_part,
-                     matrix_units, opnorm, subspace_coeffs)
+from .linalg import (TOL_ALG, _canonicalize, _cluster_runs, _descending_eigh, _gram_schmidt,
+                     _span_coeffs, dagger, hermitian_eig, hermitian_part, matrix_units, opnorm,
+                     subspace_coeffs)
 
 # Relative gap below which kept eigenvalues share one spectral projection.
 _SPECTRAL_CLUSTER_RTOL = 1e-8
@@ -161,18 +162,9 @@ def compress(e: PairSumElement, tol: float = TOL_ALG) -> PairSumElement:
     """
     frames = _frames(e.rep, e.a, e.b)
     total = np.sum(frames, axis=0)
-    kept: list[int] = []
-    ortho: list[np.ndarray] = []
-    for i, f in enumerate(frames):
-        fnorm = np.linalg.norm(f)
-        if fnorm <= 1e-14:
-            continue
-        resid = f.copy()
-        for q in ortho:
-            resid -= q * np.vdot(q, resid)
-        if np.linalg.norm(resid) > max(tol, 1e-12) * fnorm:
-            kept.append(i)
-            ortho.append(resid / np.linalg.norm(resid))
+    # a frame of norm <= 1e-14 is never kept
+    fnorms = np.array([np.linalg.norm(f) for f in frames])
+    kept, _ = _gram_schmidt(frames, np.where(fnorms <= 1e-14, np.inf, max(tol, 1e-12) * fnorms))
     if not kept:
         return zero_element(e.rep)
     coeffs = subspace_coeffs(total, frames[kept], tol=max(tol, 1e-9))
@@ -265,8 +257,8 @@ def spectral_decompose(t: PairSumElement, tol: float = 1e-9) -> SpectralDecompos
     herm, defect, hermitian = hermitian_part(materialize(t), tol)
     if not hermitian:
         raise NotSelfAdjoint(f"self-adjointness defect {defect:.3e}")
-    evals, evecs = hermitian_eig(herm, tol=max(tol, TOL_ALG))
-    scale = max(1.0, float(np.max(np.abs(evals), initial=0.0)))
+    evals, evecs, scale = _descending_eigh(herm)
+    _canonicalize(evals, evecs, scale)
     keep = np.flatnonzero(np.abs(evals) > tol)
 
     items = tuple(zip(evals[keep].tolist(), _implementers(t.rep, evecs[:, keep])))
@@ -277,10 +269,9 @@ def spectral_decompose(t: PairSumElement, tol: float = 1e-9) -> SpectralDecompos
     frames = _frames(t.rep, np.repeat(t.a, len(t), axis=0), np.tile(t.b, (len(t), 1, 1)))
     # one spectral projection per run of kept eigenvalues closer than the gap,
     # all checked by one least-squares solve
-    cuts = np.flatnonzero(~(np.abs(np.diff(evals[keep])) <= _SPECTRAL_CLUSTER_RTOL * scale))
-    if len(keep):
-        projections = [(evecs[:, c] @ dagger(evecs[:, c])).reshape(-1)
-                       for c in np.split(keep, cuts + 1)]
+    projections = [(evecs[:, keep[r]] @ dagger(evecs[:, keep[r]])).reshape(-1)
+                   for r in _cluster_runs(evals[keep], _SPECTRAL_CLUSTER_RTOL * scale)]
+    if projections:
         _span_coeffs(frames.T, np.stack(projections, axis=1), _SPECTRAL_CLUSTER_RTOL)
 
     return SpectralDecomposition(rep=t.rep, items=items)

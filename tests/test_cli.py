@@ -155,8 +155,9 @@ def test_cli_huge_entries_print_only_the_error_line(tmp_path, name):
 
 # The exit code and error line of each subcommand on each document. An
 # overflowed probe output of cp is never certified positive: it reaches
-# the exact eigensolver, which gives up on it.
-_LSTSQ = "error: cannot solve least squares: entries out of floating point range\n"
+# the exact eigensolver, which gives up on it. An overflowed dual Choi
+# operator or element is refused before it is diagonalized.
+_DIAGONALIZE = "error: cannot diagonalize: entries out of floating point range\n"
 _OPNORM = "error: cannot take the operator norm: entries out of floating point range\n"
 _EIGVALSH = "error: numerical failure: Eigenvalues did not converge\n"
 HUGE_OUTCOMES = {
@@ -166,8 +167,7 @@ HUGE_OUTCOMES = {
     "ab": {"choi": (2, "error: cannot serialize inf: the result is not a finite number\n"),
            "dphi": (2, "error: cannot serialize inf: the result is not a finite number\n"),
            "adjoint": (0, ""), "cp": (2, _EIGVALSH),
-           "kraus": (2, "error: cannot serialize nan: the result is not a finite number\n"),
-           "positive": (2, _OPNORM), "spectral": (2, _LSTSQ)},
+           "kraus": (2, _DIAGONALIZE), "positive": (2, _OPNORM), "spectral": (2, _DIAGONALIZE)},
     "ab_weighted": {"choi": (2, "error: cannot serialize nan: the result is not a finite number\n"),
                     "dphi": (2, "error: cannot serialize inf: the result is not a finite number\n"),
                     "adjoint": (0, ""), "cp": (2, _EIGVALSH), "kraus": (2, _OPNORM),
@@ -210,12 +210,22 @@ def test_cli_huge_entries_leave_stdout_empty_on_exit_2(tmp_path):
     ["positive", "--restarts", "-3"],
     ["positive", "--oracle", "--resolution", "0"],
     ["cp", "--trials", "many"],
+    ["cp", "--seed", "-1"],
+    ["positive", "--seed", "-1"],
+    ["positive", "--iters", "-3"],
+    ["cp", "--tol", "nan"],
+    ["cp", "--tol", "-0.5"],
+    ["kraus", "--tol", "inf"],
+    ["positive", "--tol", "1e400"],
+    ["spectral", "--tol", "tight"],
 ])
 def test_cli_out_of_range_options_exit_2(argv):
-    err = io.StringIO()
-    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
         main(argv + [str(DATA / "transpose.json")])
     assert exc.value.code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith(f"usage: choifactor {argv[0]} ")
     assert f"argument {argv[-2]}:" in err.getvalue()
     assert "Traceback" not in err.getvalue()
 

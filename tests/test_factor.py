@@ -209,3 +209,18 @@ def test_modular_conjugation_at_any_weights(n):
     lifted = embed(rep, a, "factor")
     cols = [modular_conjugate(rep, lifted @ modular_conjugate(rep, e)) for e in np.eye(n * n)]
     assert np.abs(np.stack(cols, axis=1) - embed(rep, a.conj(), "commutant")).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_tomita_operator_sends_a_x_to_a_star_x(n):
+    # S = J Delta^(1/2) with Delta^(1/2)(Y) = D^(-1/2) Y D^(1/2), D = diag(w),
+    # in the Hilbert-Schmidt picture: S (1 (x) A) x = (1 (x) A*) x
+    rng = np.random.default_rng(53 + n)
+    rep = make_factor(n, rng.uniform(0.1, 1.0, n))
+    root = np.sqrt(rep.weights)
+    for _ in range(5):
+        a = cgauss(rng, n, n)
+        y = apply_factor_to_state(rep, a).reshape(n, n)
+        got = modular_conjugate(rep, y / root[:, None] * root[None, :])
+        want = apply_factor_to_state(rep, a.conj().T)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(a).max())

@@ -5,6 +5,7 @@ from choifactor import (
     DimensionMismatch,
     InternalDisagreement,
     NotPositive,
+    NumericalFailure,
     PairSumElement,
     PairSumMap,
     adjoint_choi_symmetry,
@@ -25,14 +26,17 @@ from choifactor import (
     map_scale,
     map_sum,
     materialize,
+    parse_element_file,
+    parse_map_file,
+    spectral_decompose,
     state_projection,
     trace_map,
     transfer,
     transpose_map,
 )
-from choifactor import linalg, maps
+from choifactor import linalg, maps, projection_algebra
 from choifactor.linalg import hermitian_eig, hermiticity_defect
-from choifactor.maps import _STACK_BYTES, _extension_probes, _random_psd
+from choifactor.maps import _STACK_BYTES, _extension_probes, _random_gram, _unit_scaled
 from helpers import cgauss, matrix_unit, random_cp_map, random_hp_map, random_map
 
 TRACIAL2 = make_factor(2)
@@ -425,7 +429,7 @@ def test_stacked_extension_check_matches_per_probe_loop(n, weighted):
 @pytest.mark.parametrize("dim", [4, 9, 36])
 def test_stacked_probe_draws_match_sequential_draws(dim):
     rng_stacked, rng_seq = np.random.default_rng(11), np.random.default_rng(11)
-    stacks = [_random_psd(rng_stacked, count, dim) for count in (3, 0, 1, 5)]
+    stacks = [_unit_scaled(_random_gram(rng_stacked, count, dim)) for count in (3, 0, 1, 5)]
     want = []
     for _ in range(9):
         g = rng_seq.standard_normal((dim, dim)) + 1j * rng_seq.standard_normal((dim, dim))
@@ -684,11 +688,12 @@ def _orthogonal_kraus_map(rng, rep, coefficients):
     return PairSumMap(n, tuple((c * s.conj().T, s) for c, s in zip(coefficients, ss)))
 
 
-def _clusters(evals, scale):
-    # runs of eigenvalues closer than the canonicalization's cluster width
+def _clusters(evals, gap):
+    # runs of eigenvalues at most gap apart (1e-12 is the canonicalization's
+    # cluster width at scale 1)
     runs, start = [], 0
     for j in range(1, len(evals) + 1):
-        if j == len(evals) or abs(evals[j - 1] - evals[j]) > 1e-12 * scale:
+        if j == len(evals) or abs(evals[j - 1] - evals[j]) > gap:
             runs.append(evals[start:j])
             start = j
     return runs
@@ -708,7 +713,7 @@ def test_deferred_canonicalization_degenerate_kept_cluster():
     for rep in (make_factor(3), make_factor(3, [0.2, 0.3, 0.5]), make_factor(4)):
         phi = _orthogonal_kraus_map(rng, rep, np.ones(rep.n + 1))
         evals = np.linalg.eigvalsh(dual_choi(phi, rep))[::-1]
-        assert [len(run) for run in _clusters(evals, 1.0)] == [rep.n + 1, rep.n**2 - rep.n - 1]
+        assert [len(run) for run in _clusters(evals, 1e-12)] == [rep.n + 1, rep.n**2 - rep.n - 1]
         _assert_kraus_matches_reference(phi, rep, 1e-9)
 
 
@@ -726,10 +731,45 @@ def test_deferred_canonicalization_cluster_straddling_tol():
     phi = _orthogonal_kraus_map(np.random.default_rng(139), rep,
                                 [1.0, 1.0, 0.5, tol + 5e-14, tol - 5e-14])
     evals = np.linalg.eigvalsh(dual_choi(phi, rep))[::-1]
-    straddling = [run for run in _clusters(evals, 1.0) if run[0] > tol >= run[-1]]
+    straddling = [run for run in _clusters(evals, 1e-12) if run[0] > tol >= run[-1]]
     assert len(straddling) == 1 and len(straddling[0]) == 2
     _assert_kraus_matches_reference(phi, rep, tol)
     assert len(kraus_decompose(phi, rep, tol=tol)) == 4
+
+
+def _orthogonal_element(rng, rep, coefficients):
+    # sum_j c_j (1 (x) S_j) E (1 (x) S_j*) with (1 (x) S_j) x orthonormal: the
+    # c_j (and zeros) are its eigenvalues
+    ys = _haar(rng, rep.n * rep.n)[:, : len(coefficients)]
+    ss = [implementer_from_vector(rep, ys[:, j]) for j in range(len(coefficients))]
+    return PairSumElement(rep, tuple((c * s, s.conj().T) for c, s in zip(coefficients, ss)))
+
+
+def test_canonicalize_and_spectral_decompose_cut_the_reference_runs(monkeypatch):
+    cut = linalg._cluster_runs
+    calls = []
+
+    def recording(values, gap):
+        runs = cut(values, gap)
+        calls.append((values.copy(), gap, runs))
+        return runs
+
+    monkeypatch.setattr(linalg, "_cluster_runs", recording)
+    monkeypatch.setattr(projection_algebra, "_cluster_runs", recording)
+    rng = np.random.default_rng(149)
+    # at scale 1, neighbours just inside and just outside the canonicalization's
+    # width 1e-12 and the spectral width 1e-8
+    w = np.array([1.0, 1.0 - 5e-13, 1.0 - 2e-12, 0.5, 0.5, 0.25 + 2e-8, 0.25 + 5e-9, 0.25, -0.25])
+    linalg._canonicalize(w, _haar(rng, len(w)), 1.0)
+    for rep in (make_factor(3), make_factor(3, [0.2, 0.3, 0.5])):
+        kraus_decompose(_orthogonal_kraus_map(rng, rep, np.ones(rep.n + 1)), rep)
+        spectral_decompose(_orthogonal_element(rng, rep, w))
+    assert {round(gap / 1e-12) for _, gap, _ in calls} == {1, 10000}
+    for values, gap, runs in calls:
+        want = _clusters(values, gap)
+        assert len(runs) == len(want)
+        assert all(np.array_equal(values[r], v) for r, v in zip(runs, want))
+    assert [len(r) for r in calls[0][2]] == [2, 1, 2, 1, 1, 1, 1]
 
 
 def test_deferred_canonicalization_not_positive_fields():
@@ -765,6 +805,47 @@ def test_check_cp_builds_the_dual_choi_operator_once(monkeypatch):
         calls.clear()
         _cp_report(phi, rep)
         assert len(calls) == 1
+
+
+def test_kraus_and_spectral_take_one_hermitian_part_per_operator(monkeypatch):
+    calls = []
+    split = linalg.hermitian_part
+
+    def counting(m, tol):
+        calls.append(1)
+        return split(m, tol)
+
+    for module in (linalg, maps, projection_algebra):
+        monkeypatch.setattr(module, "hermitian_part", counting)
+    rng = np.random.default_rng(155)
+    rep = make_factor(3, [0.2, 0.3, 0.5])
+    for phi in (random_cp_map(rng, 3, 2), random_hp_map(rng, 3, 2)):
+        calls.clear()
+        try:
+            kraus_decompose(phi, rep)
+        except NotPositive:
+            pass
+        assert len(calls) == 1
+    calls.clear()
+    spectral_decompose(_orthogonal_element(rng, rep, [2.0, -1.0]))
+    assert len(calls) == 1
+
+
+# the "ab" document of test_cli.py: the products of its entries overflow
+_OVERFLOWING = {"n": 2, "terms": [{"A": [[[1e200, 0], [0, 0]], [[0, 0], [1, 0]]],
+                                   "B": [[[1e200, 0], [0, 0]], [[0, 0], [1, 0]]]}]}
+
+
+def test_overflowed_operators_are_refused_before_the_eigensolver():
+    phi, rep = parse_map_file(_OVERFLOWING)
+    element = parse_element_file(_OVERFLOWING)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for call in (lambda: hermitian_eig(dual_choi(phi, rep)),
+                     lambda: hermitian_eig(materialize(element)),
+                     lambda: kraus_decompose(phi, rep),
+                     lambda: spectral_decompose(element)):
+            with pytest.raises(NumericalFailure, match="cannot diagonalize"):
+                call()
 
 
 def test_kraus_decompose_takes_no_svd_of_a_hermitian_dual_choi(monkeypatch):
