@@ -49,6 +49,12 @@ def _require_finite(action: str, *arrays: np.ndarray) -> None:
         raise NumericalFailure(f"cannot {action}: entries out of floating point range")
 
 
+def _check_tol(tol: float) -> None:
+    # a tolerance is a finite number >= 0, as the command line's --tol
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def opnorm(m) -> float:
     """Operator (spectral) norm. An entry that is not a finite number raises
     NumericalFailure: LAPACK's SVD would print to stdout and then fail."""

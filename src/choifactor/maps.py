@@ -32,8 +32,10 @@ from .errors import (
 from .factor import FactorRep, implementer_from_vector, make_factor, state_projection
 from .linalg import (
     _canonicalize,
+    _check_tol,
     _descending_eigh,
     _hermitian_split,
+    _require_finite,
     as_complex,
     dagger,
     hermitian_part,
@@ -177,8 +179,10 @@ def kraus_decompose(
 
     Works at any weight vector. Raises NotPositive (carrying the minimum
     eigenvalue of the Hermitian part) when the dual Choi operator is not
-    positive semidefinite within tol, which is exactly the non-CP case.
+    positive semidefinite within tol, which is exactly the non-CP case,
+    and ValueError when tol is not a finite number >= 0.
     """
+    _check_tol(tol)
     rep = _resolve_rep(phi, rep)
     return _kraus_from_dual_choi(dual_choi(phi, rep), rep, tol)
 
@@ -216,6 +220,15 @@ def kraus_apply(kd: KrausDecomposition, c) -> np.ndarray:
 # one call per probe costs little anyway.
 _STACK_BYTES = 1 << 16
 
+# The last seeded probe set drawn to the end is kept, read-only, for the next
+# pass with the same (n^2, trials, seed), when its complex (trials, n^2, n^2)
+# array fits this many bytes: every set up to n = 6 at the default 64 trials,
+# none at n = 8 (4 MiB).
+_PROBE_CACHE_BYTES = 1 << 21
+
+# ((n^2, trials, seed), probes) of the set kept, replaced by one assignment
+_held_probes: tuple[tuple[int, int, int], np.ndarray] | None = None
+
 # The Cholesky certificate of check_cp allows gamma = _CERT_ROUNDING * dim *
 # (dim + 1) of rounding relative to ||herm(out)||_F at probe dimension dim: a
 # bound on the backward error of Cholesky, of eigvalsh and of the products
@@ -223,12 +236,13 @@ _STACK_BYTES = 1 << 16
 _CERT_ROUNDING = 2.0 * np.finfo(np.float64).eps
 
 
-def _random_gram(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    # count psd Gram matrices g g*; each g draws its real part and then its
-    # imaginary part, as one draw per probe would
+def _random_gram(rng: np.random.Generator, count: int, dim: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    # count psd Gram matrices g g*, written to out when given; each g draws
+    # its real part and then its imaginary part, as one draw per probe would
     s = rng.standard_normal((count, 2, dim, dim))
     g = s[:, 0] + 1j * s[:, 1]
-    return g @ np.conj(g).swapaxes(1, 2)
+    return np.matmul(g, np.conj(g).swapaxes(1, 2), out=out)
 
 
 def _unit_scaled(m: np.ndarray) -> np.ndarray:
@@ -264,18 +278,34 @@ def _probe_stacks(
 ) -> Iterator[tuple[np.ndarray, bool]]:
     # The inputs of the probe pass: E as a stack of its own, then the seeded
     # Gram stacks of `trials` random probes, each with whether it still has
-    # to be scaled to unit operator norm (E has norm one already).
+    # to be scaled to unit operator norm (E has norm one already). The
+    # random stacks are slices of the held set when its key matches; a set
+    # small enough to hold is drawn into one array, which is published only
+    # once the pass has drawn it all.
+    global _held_probes
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials!r}")
-    rng = np.random.default_rng(seed)
     dim = n * n
     per_stack = max(1, _STACK_BYTES // (16 * dim * dim))  # complex128 entries
     yield state_projection(rep)[1][None], False
-    drawn = 0
-    while drawn < trials:
-        count = min(per_stack, trials - drawn)
-        yield _random_gram(rng, count, dim), True
-        drawn += count
+    # only an integer seed names its stream; a Generator passed as the seed
+    # gives other probes each time
+    key = (dim, trials, int(seed)) if isinstance(seed, (int, np.integer)) else None
+    held = _held_probes
+    if key is not None and held is not None and held[0] == key:
+        for start in range(0, trials, per_stack):
+            yield held[1][start:start + per_stack], True
+        return
+    rng = np.random.default_rng(seed)
+    keep = key is not None and 16 * dim * dim * trials <= _PROBE_CACHE_BYTES
+    probes = np.empty((trials, dim, dim), dtype=np.complex128) if keep else None
+    for start in range(0, trials, per_stack):
+        count = min(per_stack, trials - start)
+        out = probes[start:start + count] if keep else None
+        yield _random_gram(rng, count, dim, out), True
+    if keep:
+        probes.flags.writeable = False
+        _held_probes = (key, probes)
 
 
 def _measured(out: np.ndarray, worst_low: float, worst_defect: float) -> tuple[float, float]:
@@ -283,6 +313,7 @@ def _measured(out: np.ndarray, worst_low: float, worst_defect: float) -> tuple[f
     # eigenvalue and worst defect relative to max(1, ||out||), updated by
     # the stack's. An output's SVD runs only when its bound cannot decide.
     herm, defects = _hermitian_split(out)
+    _require_finite("diagonalize", herm)
     evals = np.linalg.eigvalsh(herm)
     # max |eigenvalue| shrunk by far more than the eigensolver's and the
     # SVD's rounding, so each bound stays above defect / max(1, ||out||)
@@ -374,15 +405,21 @@ def extension_positivity_check(
     amplification (identity (x) phi)(X), computed with the transfer
     matrix. Reports the worst (lowest) output eigenvalue and the worst
     output Hermiticity defect relative to max(1, ||out||), over every
-    probe. Raises ValueError when trials < 0.
+    probe. Raises ValueError when trials < 0 or tol is not a finite
+    number >= 0.
 
     E is evaluated first, then the random probes are drawn, multiplied and
-    diagonalized in stacks of up to 64 KB per copy. Since
+    diagonalized in stacks of up to 64 KB per copy. The seeded probe set
+    is drawn once per process: while it is the last set drawn to the end
+    and fits 2 MiB (up to n = 6 at 64 trials), a call with the same n,
+    trials and integer seed reuses it, read-only and bit for bit, as
+    check_cp does. Since
     ||out|| >= ||(out + out*)/2|| = max |eigenvalue|, the eigenvalues
     already give an upper bound on each probe's relative defect, and
     ||out|| is computed only for probes whose bound exceeds the worst
     defect so far.
     """
+    _check_tol(tol)
     rep = _resolve_rep(phi, rep)
     *_, (low, defect) = _extension_probes(phi, trials, rep, seed)
     return ExtensionReport(
@@ -435,11 +472,15 @@ def check_cp(
     for rounding is not measured, any other stack is measured exactly, and
     the pass ends at the first failing probe, since the rest cannot change
     the verdict. extension_positivity_check itself still measures and
-    reports every probe.
+    reports every probe. Both checks draw the seeded probe set once per
+    process and reuse it while it is the last set drawn to the end and
+    fits 2 MiB (up to n = 6 at 64 trials); a pass ended by a failing
+    probe keeps nothing.
 
     Raises InternalDisagreement when the verdicts conflict, and ValueError
-    when trials < 0.
+    when trials < 0 or tol is not a finite number >= 0.
     """
+    _check_tol(tol)
     rep = _resolve_rep(phi, rep)
     t = transfer(phi)
     ext_ok = _cp_probes_pass(phi.n, t.T, trials, rep, seed, tol)

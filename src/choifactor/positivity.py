@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, NumericalFailure, UnsupportedDimension
 from .factor import FactorRep
-from .linalg import (_require_finite, as_complex, canonical_phase, dagger, hermitian_part, opnorm,
-                     psd_within)
+from .linalg import (_check_tol, _require_finite, as_complex, canonical_phase, dagger,
+                     hermitian_part, opnorm, psd_within)
 from .maps import PairSumMap, _resolve_rep, apply_map, choi, dual_choi
 
 
@@ -152,7 +152,8 @@ def brute_product_min(d, resolution: int = 90) -> tuple[float, np.ndarray, np.nd
     Sweeps u over a resolution^2 grid of Bloch angles (theta from 0 to pi
     inclusive, phi over a full turn) and minimizes exactly over v for each
     u. Accuracy is O(1/resolution); other dimensions raise
-    UnsupportedDimension, and resolution < 1 raises ValueError.
+    UnsupportedDimension, resolution < 1 raises ValueError, and an
+    operator out of floating point range raises NumericalFailure.
     """
     d = as_complex(d)
     n = _side_dim(d)
@@ -171,6 +172,7 @@ def brute_product_min(d, resolution: int = 90) -> tuple[float, np.ndarray, np.nd
         axis=1,
     )
     mats = np.einsum("gi,iajb,gj->gab", np.conj(us), d4, us)
+    _require_finite("diagonalize", mats)
     evals, evecs = np.linalg.eigh(mats)
     lows = evals[:, 0]
     g = int(np.argmin(lows))
@@ -234,9 +236,11 @@ def check_positive(
     input, which must show a negative output eigenvalue (else the verdict
     degrades to inconclusive). With oracle=True (n = 2 only) the grid
     search confirms or overrides the seesaw. Raises ValueError when
-    restarts < 1, whichever method decides.
+    restarts < 1 or tol is not a finite number >= 0, whichever method
+    decides.
     """
     _check_restarts(restarts)
+    _check_tol(tol)
     rep = _resolve_rep(phi, rep)
     d = dual_choi(phi, rep)
 

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from choifactor import (
     adjoint_map,
     apply_map,
     check_cp,
+    check_positive,
     choi,
     conjugation_map,
     dual_choi,
@@ -34,8 +38,8 @@ from choifactor import (
     transfer,
     transpose_map,
 )
-from choifactor import linalg, maps, projection_algebra
-from choifactor.linalg import hermitian_eig, hermiticity_defect
+from choifactor import linalg, maps, positivity, projection_algebra
+from choifactor.linalg import hermitian_eig, hermiticity_defect, matrix_units
 from choifactor.maps import _STACK_BYTES, _extension_probes, _random_gram, _unit_scaled
 from helpers import cgauss, matrix_unit, random_cp_map, random_hp_map, random_map
 
@@ -596,20 +600,118 @@ def test_probe_pass_yields_the_report_of_each_prefix(n, trials):
             assert (low, defect) == (report.min_eigenvalue, report.hermiticity_defect)
 
 
-def test_check_cp_on_the_transpose_draws_no_random_probe(monkeypatch):
+@pytest.fixture
+def draws(monkeypatch):
+    # the counts of the random probes drawn during the test, which starts
+    # with no probe set held; the set it leaves held is dropped after it
+    monkeypatch.setattr(maps, "_held_probes", None)
     calls = []
     draw = maps._random_gram
 
-    def counting(rng, count, dim):
+    def counting(rng, count, dim, out=None):
         calls.append(count)
-        return draw(rng, count, dim)
+        return draw(rng, count, dim, out)
 
     monkeypatch.setattr(maps, "_random_gram", counting)
+    return calls
+
+
+def test_check_cp_on_the_transpose_draws_no_random_probe(draws):
     assert not check_cp(transpose_map(8)).cp
-    assert calls == []
+    assert draws == []
     # the counter sees the draws of a pass that runs to the end
     assert check_cp(identity_map(4)).cp
-    assert sum(calls) == 64
+    assert sum(draws) == 64
+
+
+def test_a_second_pass_with_the_same_key_reuses_the_held_probes(draws, monkeypatch):
+    rng = np.random.default_rng(141)
+    rep = make_factor(4, rng.uniform(0.2, 1.0, 4))
+    phi, other = random_cp_map(rng, 4, 3), random_hp_map(rng, 4, 2)
+    first = check_cp(phi, rep=rep)
+    ext = extension_positivity_check(other, rep=rep)
+    assert sum(draws) == 64
+
+    def no_generator(seed):
+        raise AssertionError("a held probe set needs no Generator")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", no_generator)
+        assert check_cp(phi, rep=rep) == first
+        assert extension_positivity_check(other, rep=rep) == ext
+    assert sum(draws) == 64
+    # and the held probes carry the bits of a fresh draw
+    monkeypatch.setattr(maps, "_held_probes", None)
+    assert extension_positivity_check(other, rep=rep) == ext
+    assert sum(draws) == 128
+
+
+def test_another_key_draws_its_probes_again(draws):
+    rng = np.random.default_rng(142)
+    phi = random_cp_map(rng, 3, 2)
+    keys = [(64, 42), (64, 42), (64, 7), (10, 7), (10, 7), (64, 42)]
+    totals = []
+    for trials, seed in keys:
+        check_cp(phi, trials=trials, seed=seed)
+        totals.append(sum(draws))
+    assert totals == [64, 64, 128, 138, 138, 202]
+    # the same trials and seed at another n
+    check_cp(random_cp_map(rng, 2, 2))
+    assert sum(draws) == 266
+
+
+def test_a_pass_that_stops_early_leaves_the_held_probes(draws):
+    check_cp(identity_map(4))
+    held = maps._held_probes
+    assert held[0] == (16, 64, 42)
+    # C -> Tr(C) e_00: E's output is diagonal, with exact zero eigenvalues, and
+    # at tol 0 the rounding of the zero eigenvalues of the first random stack
+    # ends the pass after 16 of the 64 probes, held (seed 42) or drawn (43)
+    units = matrix_units(4).reshape(4, 4, 4, 4)
+    phi = PairSumMap(4, np.stack((units[0], units[:, 0]), axis=1))
+    for seed, drawn in ((42, []), (43, [16])):
+        draws.clear()
+        assert not _cp_report(phi, make_factor(4), tol=0.0, seed=seed).extension_positive
+        assert draws == drawn
+        assert maps._held_probes is held
+    # a pass closed after its first random stack publishes nothing either
+    stacks = maps._probe_stacks(4, 64, make_factor(4), 43)
+    next(stacks), next(stacks)
+    stacks.close()
+    assert maps._held_probes is held
+
+
+def test_threads_sharing_the_held_probes_get_the_reports_of_one_thread(draws):
+    # calls at three keys interleave, so sets are published while other
+    # threads read the one held before
+    rng = np.random.default_rng(144)
+    phis = [random_cp_map(rng, n, 2) for n in (2, 3, 4, 3)]
+    want = [check_cp(phi) for phi in phis]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(check_cp, phis[i % 4]) for i in range(48)]
+            got = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert got == [want[i % 4] for i in range(48)]
+
+
+def test_the_held_probes_are_read_only_and_kept_up_to_n_6(draws):
+    check_cp(random_cp_map(np.random.default_rng(143), 6, 2))
+    key, probes = maps._held_probes
+    assert key == (36, 64, 42) and probes.shape == (64, 36, 36)
+    assert probes.nbytes <= maps._PROBE_CACHE_BYTES
+    assert not probes.flags.writeable
+    with pytest.raises(ValueError):
+        probes[0, 0, 0] = 0.0
+    # the 4 MiB set at n = 8 is never held, and leaves the held set as it was
+    assert check_cp(identity_map(8)).cp
+    assert maps._held_probes[1] is probes
+    maps._held_probes = None
+    assert check_cp(identity_map(8)).cp
+    assert maps._held_probes is None
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
@@ -649,6 +751,21 @@ def test_check_cp_measures_only_the_probes_it_cannot_certify(monkeypatch):
     # at 1e6 the rounding margin exceeds tol on every probe: all 65 are measured
     assert check_cp(map_scale(identity_map(4), 1e6)).cp
     assert sum(measured) == 65
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+def test_tolerances_other_than_finite_numbers_at_least_zero_are_refused(tol, monkeypatch):
+    def no_work(phi, rep):
+        raise AssertionError("work began before tol was checked")
+
+    monkeypatch.setattr(maps, "_resolve_rep", no_work)
+    monkeypatch.setattr(positivity, "_resolve_rep", no_work)
+    for call in (lambda: check_cp(identity_map(2), tol=tol),
+                 lambda: extension_positivity_check(identity_map(2), tol=tol),
+                 lambda: kraus_decompose(transpose_map(2), tol=tol),
+                 lambda: check_positive(transpose_map(2), tol=tol)):
+        with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+            call()
 
 
 def test_negative_trials_are_refused():
@@ -843,7 +960,9 @@ def test_overflowed_operators_are_refused_before_the_eigensolver():
         for call in (lambda: hermitian_eig(dual_choi(phi, rep)),
                      lambda: hermitian_eig(materialize(element)),
                      lambda: kraus_decompose(phi, rep),
-                     lambda: spectral_decompose(element)):
+                     lambda: spectral_decompose(element),
+                     lambda: extension_positivity_check(phi, rep=rep),
+                     lambda: check_cp(phi, rep=rep)):
             with pytest.raises(NumericalFailure, match="cannot diagonalize"):
                 call()
 

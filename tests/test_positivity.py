@@ -264,6 +264,15 @@ def test_seesaw_reports_overflow_as_numerical_failure():
         check_positive(phi)
 
 
+def test_grid_oracle_refuses_an_overflowed_operator():
+    # the dual Choi operator of this map holds inf and NaN entries
+    a = np.array([[1e200, 0.0], [1j, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = dual_choi(PairSumMap(2, ((a, a),)), TRACIAL2)
+        with pytest.raises(NumericalFailure, match="cannot diagonalize"):
+            brute_product_min(d)
+
+
 def test_restarts_and_resolution_below_one_are_refused():
     d = dual_choi(transpose_map(2), TRACIAL2)
     with pytest.raises(ValueError, match="restarts"):
