@@ -100,10 +100,16 @@ def psd_within(m, tol: float) -> tuple[bool, float]:
     """Whether m is Hermitian and psd within tol, and the lowest eigenvalue
     of its Hermitian part. Raises NumericalFailure on an entry that is not
     a finite number."""
-    herm, _, hermitian = hermitian_part(m, tol)
+    return _psd_split(m, tol)[:2]
+
+
+def _psd_split(m, tol: float) -> tuple[bool, float, float]:
+    # psd_within's verdict and lowest eigenvalue, plus the defect
+    # max |m - m*| of the one Hermitian split both are read from
+    herm, defect, hermitian = hermitian_part(m, tol)
     _require_finite("diagonalize", herm)
     low = float(np.linalg.eigvalsh(herm)[0])
-    return hermitian and low >= -tol, low
+    return hermitian and low >= -tol, low, defect
 
 
 def matrix_units(n: int) -> np.ndarray:

@@ -35,6 +35,7 @@ from .linalg import (
     _check_tol,
     _descending_eigh,
     _hermitian_split,
+    _psd_split,
     _require_finite,
     as_complex,
     dagger,
@@ -232,7 +233,9 @@ _held_probes: tuple[tuple[int, int, int], np.ndarray] | None = None
 # The Cholesky certificate of check_cp allows gamma = _CERT_ROUNDING * dim *
 # (dim + 1) of rounding relative to ||herm(out)||_F at probe dimension dim: a
 # bound on the backward error of Cholesky, of eigvalsh and of the products
-# that form the exact path's scaled outputs, each of order dim^2 eps.
+# that form the exact path's scaled outputs, each of order dim^2 eps. The
+# Choi certificate allows 4 n gamma beta, with dim + k for dim at k terms
+# (_choi_certifies_probes).
 _CERT_ROUNDING = 2.0 * np.finfo(np.float64).eps
 
 
@@ -283,8 +286,6 @@ def _probe_stacks(
     # small enough to hold is drawn into one array, which is published only
     # once the pass has drawn it all.
     global _held_probes
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials!r}")
     dim = n * n
     per_stack = max(1, _STACK_BYTES // (16 * dim * dim))  # complex128 entries
     yield state_projection(rep)[1][None], False
@@ -385,8 +386,48 @@ def _cp_probes_pass(n: int, t_rows: np.ndarray, trials: int, rep: FactorRep, see
     return True
 
 
+def _choi_certifies_probes(phi: PairSumMap, defect: float, choi_low: float, tol: float) -> bool:
+    # Whether every probe of the pass, E included, passes the measured test,
+    # read off the computed Choi matrix's defect max |choi - choi*| and the
+    # lowest eigenvalue choi_low of its Hermitian part.
+    #
+    # Exactly: a psd probe X = sum_k vec(R_k) vec(R_k)* of ||X|| <= 1 has
+    # output (identity (x) phi)(X) = sum_k (R_k (x) 1) choi (R_k (x) 1)*, and
+    # sum_k R_k R_k* = tr_2 X has norm at most n. So lambda_min(herm(out)) >=
+    # -n max(0, -lambda_min(herm(choi))) and ||out - out*|| <= n ||choi -
+    # choi*|| <= n dim max |choi - choi*|; the relative defect is at most the
+    # absolute one.
+    #
+    # Computed: with beta = sum_i ||A_i||_F ||B_i||_F, ||choi||_F and
+    # ||transfer||_F are at most beta, and ||out|| at most n beta, so every
+    # rounding is a multiple of beta, with no assumption that the sums do not
+    # cancel. gamma = _CERT_ROUNDING (dim + k) (dim + 1) bounds each of:
+    # (a) the k-term sums of choi and its eigvalsh, which move choi_low and
+    # the defect by at most gamma beta; (b) the probe as stored (a rounded
+    # Gram product, scaled, not exactly psd) and its product with the rounded
+    # transfer matrix, which move out by at most gamma beta; (c) the
+    # Hermitian split and eigvalsh of out, at most gamma n beta. The lowest
+    # eigenvalue needs n (a) + (b) + (c), the defect 2 n (a) + 2 (b) + (c):
+    # both within the 4 n gamma beta allowed below, as n >= 2.
+    # A NaN or inf certifies nothing (no comparison below holds), and at
+    # tol = 0 no map with a nonzero term is certified. beta is taken only
+    # once the exact bounds leave room.
+    dim = phi.n * phi.n
+    worst = np.max((0.0, -choi_low, dim * defect))
+    if not phi.n * worst <= tol:
+        return False
+    norms = np.linalg.norm(phi.a, axis=(1, 2)) * np.linalg.norm(phi.b, axis=(1, 2))
+    margin = 4.0 * _CERT_ROUNDING * (dim + len(phi)) * (dim + 1) * np.sum(norms)
+    return bool(phi.n * (worst + margin) <= tol)
+
+
 def _within(low: float, defect: float, tol: float) -> bool:
     return low >= -tol and defect <= tol
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials!r}")
 
 
 def extension_positivity_check(
@@ -420,6 +461,7 @@ def extension_positivity_check(
     defect so far.
     """
     _check_tol(tol)
+    _check_trials(trials)
     rep = _resolve_rep(phi, rep)
     *_, (low, defect) = _extension_probes(phi, trials, rep, seed)
     return ExtensionReport(
@@ -465,25 +507,39 @@ def check_cp(
     (5) the Choi matrix is psd.
 
     In finite dimension the lifted formula of (2) applied to X is
-    (identity (x) phi)(X), so (1) and (2) read their verdict from one
-    probe pass over the probes of extension_positivity_check, drawn
-    alike. Its verdict is the one that check gives at tol: a stack of
-    probes whose outputs a Cholesky certificate proves positive with room
-    for rounding is not measured, any other stack is measured exactly, and
-    the pass ends at the first failing probe, since the rest cannot change
-    the verdict. extension_positivity_check itself still measures and
-    reports every probe. Both checks draw the seeded probe set once per
-    process and reuse it while it is the last set drawn to the end and
-    fits 2 MiB (up to n = 6 at 64 trials); a pass ended by a failing
-    probe keeps nothing.
+    (identity (x) phi)(X), so (1) and (2) share one verdict: the one
+    extension_positivity_check gives at tol on its probes, drawn alike.
+    The Choi spectrum of (5) is computed first, and it alone can prove
+    that verdict: each probe output is a congruence of the Choi matrix,
+    sum_k (R_k (x) 1) choi (R_k (x) 1)*, so its lowest eigenvalue is at
+    least n min(0, lambda_min(choi)), and its defect at most n^3 times
+    the Choi matrix's. When n max(-lambda_min(choi), n^2 max |choi - choi*|)
+    plus the rounding margin 8 n eps (n^2 + k)(n^2 + 1) sum_i |A_i|_F |B_i|_F
+    of k terms is at most tol, every probe passes and none is drawn,
+    multiplied or factored. Otherwise the probes run in one
+    pass: a stack whose outputs a Cholesky certificate proves positive
+    with room for rounding is not measured, any other stack is measured
+    exactly, and the pass ends at the first failing probe, since the rest
+    cannot change the verdict. extension_positivity_check itself still
+    measures and reports every probe. Both checks draw the seeded probe set
+    once per process and reuse it while it is the last set drawn to the
+    end and fits 2 MiB (up to n = 6 at 64 trials); a pass ended by a
+    failing probe, or not run, keeps nothing.
 
     Raises InternalDisagreement when the verdicts conflict, and ValueError
     when trials < 0 or tol is not a finite number >= 0.
     """
     _check_tol(tol)
+    _check_trials(trials)
     rep = _resolve_rep(phi, rep)
     t = transfer(phi)
-    ext_ok = _cp_probes_pass(phi.n, t.T, trials, rep, seed, tol)
+    c = choi(phi)
+    # an overflowed Choi matrix has no spectrum, and the outputs of the probe
+    # pass, congruences of it, would be refused with the same error
+    _require_finite("diagonalize", c)
+    choi_ok, choi_low, choi_defect = _psd_split(c, tol)
+    ext_ok = (_choi_certifies_probes(phi, choi_defect, choi_low, tol)
+              or _cp_probes_pass(phi.n, t.T, trials, rep, seed, tol))
 
     d = dual_choi(phi, rep)
     kraus_ok = False
@@ -498,7 +554,6 @@ def check_cp(
         kraus_ok = worst <= scaled_tol(worst, 10.0 * max(tol, 1e-12), t)
 
     dual_ok, dual_low = psd_within(d, tol)
-    choi_ok, choi_low = psd_within(choi(phi), tol)
 
     verdicts = (ext_ok, ext_ok, kraus_ok, dual_ok, choi_ok)
     report = CpReport(

@@ -365,6 +365,12 @@ def _band_map(n, t):
     return map_sum(identity_map(n), map_scale(transpose_map(n), t))
 
 
+def _uncertified_cp_map(n, t=7e-10):
+    # the band at t in (tol/n, tol) for the default tol 1e-9: CP within tol,
+    # but its Choi margin -t is below -tol/n, so check_cp runs its probe pass
+    return _band_map(n, t)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_extension_check_matches_lifted_reference(n, weighted):
@@ -620,7 +626,7 @@ def test_check_cp_on_the_transpose_draws_no_random_probe(draws):
     assert not check_cp(transpose_map(8)).cp
     assert draws == []
     # the counter sees the draws of a pass that runs to the end
-    assert check_cp(identity_map(4)).cp
+    assert check_cp(_uncertified_cp_map(4)).cp
     assert sum(draws) == 64
 
 
@@ -647,8 +653,7 @@ def test_a_second_pass_with_the_same_key_reuses_the_held_probes(draws, monkeypat
 
 
 def test_another_key_draws_its_probes_again(draws):
-    rng = np.random.default_rng(142)
-    phi = random_cp_map(rng, 3, 2)
+    phi = _uncertified_cp_map(3)
     keys = [(64, 42), (64, 42), (64, 7), (10, 7), (10, 7), (64, 42)]
     totals = []
     for trials, seed in keys:
@@ -656,12 +661,12 @@ def test_another_key_draws_its_probes_again(draws):
         totals.append(sum(draws))
     assert totals == [64, 64, 128, 138, 138, 202]
     # the same trials and seed at another n
-    check_cp(random_cp_map(rng, 2, 2))
+    check_cp(_uncertified_cp_map(2))
     assert sum(draws) == 266
 
 
 def test_a_pass_that_stops_early_leaves_the_held_probes(draws):
-    check_cp(identity_map(4))
+    check_cp(_uncertified_cp_map(4))
     held = maps._held_probes
     assert held[0] == (16, 64, 42)
     # C -> Tr(C) e_00: E's output is diagonal, with exact zero eigenvalues, and
@@ -684,8 +689,7 @@ def test_a_pass_that_stops_early_leaves_the_held_probes(draws):
 def test_threads_sharing_the_held_probes_get_the_reports_of_one_thread(draws):
     # calls at three keys interleave, so sets are published while other
     # threads read the one held before
-    rng = np.random.default_rng(144)
-    phis = [random_cp_map(rng, n, 2) for n in (2, 3, 4, 3)]
+    phis = [_uncertified_cp_map(n, t) for n, t in ((2, 7e-10), (3, 6e-10), (4, 7e-10), (3, 8e-10))]
     want = [check_cp(phi) for phi in phis]
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -699,7 +703,7 @@ def test_threads_sharing_the_held_probes_get_the_reports_of_one_thread(draws):
 
 
 def test_the_held_probes_are_read_only_and_kept_up_to_n_6(draws):
-    check_cp(random_cp_map(np.random.default_rng(143), 6, 2))
+    check_cp(_uncertified_cp_map(6))
     key, probes = maps._held_probes
     assert key == (36, 64, 42) and probes.shape == (64, 36, 36)
     assert probes.nbytes <= maps._PROBE_CACHE_BYTES
@@ -707,10 +711,10 @@ def test_the_held_probes_are_read_only_and_kept_up_to_n_6(draws):
     with pytest.raises(ValueError):
         probes[0, 0, 0] = 0.0
     # the 4 MiB set at n = 8 is never held, and leaves the held set as it was
-    assert check_cp(identity_map(8)).cp
+    assert check_cp(_uncertified_cp_map(8)).cp
     assert maps._held_probes[1] is probes
     maps._held_probes = None
-    assert check_cp(identity_map(8)).cp
+    assert check_cp(_uncertified_cp_map(8)).cp
     assert maps._held_probes is None
 
 
@@ -753,6 +757,71 @@ def test_check_cp_measures_only_the_probes_it_cannot_certify(monkeypatch):
     assert sum(measured) == 65
 
 
+def _normalized_kraus_map(rng, n, k):
+    # C -> sum_t V_t* C V_t with sum_t |V_t|_F^2 about n, as cp_sweep draws it
+    return map_scale(random_cp_map(rng, n, k), 1.0 / (k * n))
+
+
+def _certifies(phi, tol):
+    _, low, defect = linalg._psd_split(choi(phi), tol)
+    return maps._choi_certifies_probes(phi, defect, low, tol)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_a_cp_map_with_room_to_spare_draws_and_measures_no_probe(n, weighted, draws, monkeypatch):
+    measured = []
+    measure = maps._measured
+
+    def counting(out, worst_low, worst_defect):
+        measured.append(len(out))
+        return measure(out, worst_low, worst_defect)
+
+    monkeypatch.setattr(maps, "_measured", counting)
+    rng = np.random.default_rng(160 + n)
+    rep = make_factor(n, rng.uniform(0.2, 1.0, n)) if weighted else make_factor(n)
+    for k in (1, n, n * n) if n < 8 else (1, n):
+        phi = _normalized_kraus_map(rng, n, k)
+        report = check_cp(phi, rep=rep)
+        assert report.cp
+        assert draws == [] and measured == []
+        # the report of the full probe pass, bit for bit, on probes drawn anew
+        with monkeypatch.context() as patch:
+            patch.setattr(maps, "_choi_certifies_probes", lambda *args: False)
+            patch.setattr(maps, "_held_probes", None)
+            assert check_cp(phi, rep=rep) == report
+        assert sum(draws) == 64
+        draws.clear()
+        measured.clear()
+
+
+def test_the_choi_certificate_needs_room_a_finite_margin_and_tol_above_0():
+    rng = np.random.default_rng(166)
+    phi = _normalized_kraus_map(rng, 4, 4)
+    assert _certifies(phi, 1e-9)
+    assert not _certifies(phi, 0.0)
+    assert not _certifies(map_scale(identity_map(3), 1e-3), 0.0)
+    # C -> Tr(C) e_00 has a diagonal Choi matrix, psd and Hermitian to the
+    # last bit, yet its probe outputs round: the margin alone refuses it
+    units = matrix_units(4).reshape(4, 4, 4, 4)
+    trace_e00 = PairSumMap(4, np.stack((units[0], units[:, 0]), axis=1))
+    assert linalg._psd_split(choi(trace_e00), 0.0)[1:] == (0.0, 0.0)
+    assert not _certifies(trace_e00, 0.0)
+    assert _certifies(PairSumMap(3, ()), 0.0)
+    # a NaN or inf spectrum or defect, and Frobenius norms that overflow
+    # while the Choi matrix stays finite
+    for defect, low in ((np.inf, 0.0), (np.nan, 0.0), (0.0, np.nan), (0.0, -np.inf)):
+        assert not maps._choi_certifies_probes(phi, defect, low, 1e-9)
+    big = PairSumMap(2, ((np.diag([1e200, 1.0]), np.diag([1e-200, 1.0])),))
+    with np.errstate(over="ignore"):
+        assert np.all(np.isfinite(choi(big)))
+        assert not _certifies(big, 1e-9)
+    # the band's Choi margin -t is below -tol/n across (tol/n, n tol)
+    for n in (2, 3, 4):
+        for t in np.geomspace(1.01e-9 / n, n * 1e-9, 7):
+            assert not _certifies(_band_map(n, t), 1e-9)
+
+
 @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
 def test_tolerances_other_than_finite_numbers_at_least_zero_are_refused(tol, monkeypatch):
     def no_work(phi, rep):
@@ -768,10 +837,16 @@ def test_tolerances_other_than_finite_numbers_at_least_zero_are_refused(tol, mon
             call()
 
 
-def test_negative_trials_are_refused():
-    for check in (check_cp, extension_positivity_check):
-        with pytest.raises(ValueError, match="trials"):
-            check(identity_map(2), trials=-1)
+def test_negative_trials_are_refused(monkeypatch):
+    # refused before any work: a certified check_cp never reaches the probes
+    def no_work(phi, rep):
+        raise AssertionError("work began before trials was checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(maps, "_resolve_rep", no_work)
+        for check in (check_cp, extension_positivity_check):
+            with pytest.raises(ValueError, match="trials"):
+                check(identity_map(2), trials=-1)
     assert check_cp(transpose_map(2), trials=0).trials == 0
 
 

@@ -1,7 +1,8 @@
 """Property tests: the operators of a pair-sum depend on the sum, not on
 how its terms are presented, the element calculus matches dense
-matrices, Kraus operators rebuild a completely positive map, and the CP
-verdict does not see a unitary change of basis on either side.
+matrices, Kraus operators rebuild a completely positive map, the CP
+verdict does not see a unitary change of basis on either side, and a map
+whose Choi margin certifies check_cp's probe pass passes every probe.
 
 Examples are drawn by hypothesis with a fixed seed (derandomize=True), at
 n <= 4 and at most a few terms, so the suite runs the same cases every
@@ -10,7 +11,7 @@ time. Every comparison is held to RTOL times a scale fixed by the inputs.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -25,11 +26,18 @@ from choifactor import (
     dual_choi,
     element_adjoint,
     element_product,
+    extension_positivity_check,
+    identity_map,
     kraus_decompose,
     make_factor,
+    map_scale,
+    map_sum,
     materialize,
     transfer,
+    transpose_map,
 )
+from choifactor.linalg import _psd_split
+from choifactor.maps import _choi_certifies_probes
 
 RTOL = 1e-12
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=25, database=None)
@@ -171,3 +179,32 @@ def test_cp_verdict_ignores_a_unitary_change_of_basis(case, kraus, seed):
     b = np.conj(w).T @ pairs[:, 1] @ u
     turned = PairSumMap(n, np.stack((a, b), axis=1))
     assert _cp_verdict(turned, rep) == _cp_verdict(PairSumMap(n, pairs), rep)
+
+
+@st.composite
+def certificate_cases(draw):
+    """(phi, rep, tol, trials, seed): a Kraus map from pair_sums or the band
+    identity + t * transpose, t log-uniform in (1e-13, n tol), times a
+    log-uniform scale in [1e-3, 1e3], at uniform or random weights."""
+    n, pairs, weighted_rep, _ = draw(pair_sums())
+    tol = draw(st.sampled_from((1e-12, 1e-9, 1e-7)))
+    if draw(st.booleans()):
+        phi = PairSumMap(n, _kraus_pairs(pairs))
+    else:
+        t = 10.0 ** draw(st.floats(-13.0, float(np.log10(n * tol))))
+        phi = map_sum(identity_map(n), map_scale(transpose_map(n), t))
+    phi = map_scale(phi, 10.0 ** draw(st.floats(-3.0, 3.0)))
+    rep = weighted_rep if draw(st.booleans()) else make_factor(n)
+    return phi, rep, tol, draw(st.integers(0, 16)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(certificate_cases())
+def test_a_choi_certified_probe_pass_is_positive_on_every_probe(case):
+    phi, rep, tol, trials, seed = case
+    _, low, defect = _psd_split(choi(phi), tol)
+    certified = _choi_certifies_probes(phi, defect, low, tol)
+    event(f"certified: {certified}")
+    if certified:
+        report = extension_positivity_check(phi, trials=trials, tol=tol, rep=rep, seed=seed)
+        assert report.positive, (report.min_eigenvalue, report.hermiticity_defect)
