@@ -11,7 +11,7 @@ transpose-type, rank-one, equal-weight orthogonal Kraus and near-boundary
 band (identity + t * transpose, t across (tol/n, n * tol)) maps at
 n in {2, 3, 4, 6, 8}, at uniform and at non-uniform weights, plus
 self-adjoint, projection and non-self-adjoint elements at n in {2, 3, 4}.
-Seven digests are printed, each with the number of records behind it:
+Eight digests are printed, each with the number of records behind it:
 
     check_cp      repr of the CpReport, or of the report carried by
                   InternalDisagreement, at trials in {0, 1, 4, 64}
@@ -36,15 +36,21 @@ Seven digests are printed, each with the number of records behind it:
                   of identity_element for every element; the same again
                   for sparse pairs at n in {2, 3, 4}, half of whose entries
                   are zeros of either sign
+    formats       for every map case, the compact and the pretty text of
+                  dumps over map_doc, the Choi matrix and the dual Choi
+                  operator (each as {"matrix": matrix_doc(...)}), and the
+                  term and weight bytes that parse_map_file reads back from
+                  the map document
 
 A change meant to leave every report bit for bit as it was prints the
-same seven lines before and after; compare the output of two checkouts
+same eight lines before and after; compare the output of two checkouts
 (and of one and two BLAS threads). It complements
 `scripts/make_goldens.py --check`, which covers the CLI at n = 2 only.
 """
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 
@@ -61,6 +67,7 @@ from choifactor import (
     choi,
     compress,
     dual_choi,
+    dumps,
     element_adjoint,
     element_product,
     element_scale,
@@ -70,9 +77,12 @@ from choifactor import (
     kraus_apply,
     kraus_decompose,
     make_factor,
+    map_doc,
     map_scale,
     map_sum,
     materialize,
+    matrix_doc,
+    parse_map_file,
     rank_one_subprojection,
     spectral_decompose,
     transfer,
@@ -192,8 +202,17 @@ def _element_bytes(element) -> bytes:
                      compressed, _terms_bytes(identity_element(element.rep))))
 
 
+def _formats_bytes(phi, rep) -> bytes:
+    docs = (map_doc(phi, rep), {"matrix": matrix_doc(choi(phi))},
+            {"matrix": matrix_doc(dual_choi(phi, rep))})
+    texts = [dumps(doc, pretty=pretty) for doc in docs for pretty in (False, True)]
+    phi_read, rep_read = parse_map_file(json.loads(texts[0]))
+    return "\0".join(texts).encode() + _terms_bytes(phi_read) + rep_read.weights.tobytes()
+
+
 def main() -> int:
-    kinds = ("check_cp", "extension", "kraus", "not_positive", "positive", "spectral", "algebra")
+    kinds = ("check_cp", "extension", "kraus", "not_positive", "positive", "spectral", "algebra",
+             "formats")
     digests = {kind: hashlib.sha256() for kind in kinds}
     counts = dict.fromkeys(digests, 0)
 
@@ -205,6 +224,7 @@ def main() -> int:
     for label, phi, rep in cases():
         c = _cgauss(inputs, phi.n, phi.n)
         record("algebra", f"{label} maps", _map_bytes(phi, rep, c))
+        record("formats", label, _formats_bytes(phi, rep))
         for trials in CP_TRIALS:
             try:
                 report = check_cp(phi, tol=TOL, rep=rep, trials=trials, seed=trials)

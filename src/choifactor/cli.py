@@ -80,7 +80,7 @@ def _cmd_kraus(args) -> tuple[dict, bool]:
         "positive": True,
         "count": len(kd),
         "coefficients": [float(c) for c in kd.coefficients],
-        "ops": [formats.matrix_doc(v) for v in kd.ops],
+        "ops": formats.matrix_doc(kd.ops),
         "tol": args.tol,
     }
     return doc, True

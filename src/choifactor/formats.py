@@ -7,9 +7,12 @@ A map file and an element file share one shape:
      "state": "tracial" | {"weights": [w1, ..., wn]}}
 
 Complex entries are [re, im] pairs; "state" is optional and defaults to
-tracial. Output documents print every float with 17 significant digits,
-enough to round-trip binary64 exactly, so equal inputs give bytewise
-equal outputs.
+tracial. Every entry, weight and n must be a finite number: NaN,
+Infinity, 1e400 and integers too long for a float raise FileFormatError.
+
+Output documents print every float with 17 significant digits, enough to
+round-trip binary64 exactly, and -0 as 0, with keys in insertion order,
+so equal inputs give bytewise equal outputs.
 """
 from __future__ import annotations
 
@@ -24,104 +27,83 @@ from .maps import PairSumMap
 from .projection_algebra import PairSumElement
 
 
-def _format_float(x: float) -> str:
-    x = float(x)
-    if math.isnan(x) or math.isinf(x):
-        raise NumericalFailure(f"cannot serialize {x!r}: the result is not a finite number")
-    if x == 0.0:  # collapse -0.0 so byte output ignores the sign of zero
-        x = 0.0
-    return format(x, ".17g")
-
-
-def _emit(doc, pieces: list[str], indent: int, pretty: bool) -> None:
-    if isinstance(doc, dict):
-        if not doc:
-            pieces.append("{}")
-            return
-        pieces.append("{")
-        pad = "\n" + "  " * (indent + 1) if pretty else ""
-        for k, (key, val) in enumerate(doc.items()):
-            if k:
-                pieces.append("," + pad if pretty else ",")
-            elif pretty:
-                pieces.append(pad)
-            pieces.append(json.dumps(str(key)) + (": " if pretty else ":"))
-            _emit(val, pieces, indent + 1, pretty)
-        pieces.append("\n" + "  " * indent + "}" if pretty else "}")
+def _text(doc, depth: int, pretty: bool) -> str:
+    # the JSON text of doc, whose first line starts at indentation depth;
+    # floats, the most common node, are tested for first
+    if isinstance(doc, (float, np.floating)):
+        x = float(doc)
+        if not math.isfinite(x):
+            raise NumericalFailure(f"cannot serialize {x!r}: the result is not a finite number")
+        return format(x or 0.0, ".17g")  # -0.0 is falsy: byte output ignores the sign of zero
+    elif isinstance(doc, dict):
+        colon = ": " if pretty else ":"
+        items = [json.dumps(str(key)) + colon + _text(val, depth + 1, pretty)
+                 for key, val in doc.items()]
+        brackets = "{}"
     elif isinstance(doc, (list, tuple)):
-        if len(doc) == 0:
-            pieces.append("[]")
-            return
-        pieces.append("[")
-        pad = "\n" + "  " * (indent + 1) if pretty else ""
-        for k, val in enumerate(doc):
-            if k:
-                pieces.append("," + pad if pretty else ",")
-            elif pretty:
-                pieces.append(pad)
-            _emit(val, pieces, indent + 1, pretty)
-        pieces.append("\n" + "  " * indent + "]" if pretty else "]")
-    elif isinstance(doc, bool) or doc is None:
-        pieces.append(json.dumps(doc))
+        items = [_text(val, depth + 1, pretty) for val in doc]
+        brackets = "[]"
+    elif isinstance(doc, (bool, str)) or doc is None:  # bool before int
+        return json.dumps(doc)
     elif isinstance(doc, (int, np.integer)):
-        pieces.append(str(int(doc)))
-    elif isinstance(doc, (float, np.floating)):
-        pieces.append(_format_float(float(doc)))
-    elif isinstance(doc, str):
-        pieces.append(json.dumps(doc))
+        return str(int(doc))
     else:
         raise TypeError(f"cannot serialize {type(doc).__name__}")
+    if not items:
+        return brackets
+    if not pretty:
+        return brackets[0] + ",".join(items) + brackets[1]
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
 
 
 def dumps(doc, pretty: bool = False) -> str:
     """Deterministic JSON text, keys in insertion order, floats at .17g."""
-    pieces: list[str] = []
-    _emit(doc, pieces, 0, pretty)
-    return "".join(pieces)
-
-
-def complex_doc(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+    return _text(doc, 0, pretty)
 
 
 def matrix_doc(m) -> list:
+    """The entries of m, a matrix or a stack of them, as [re, im] pairs."""
     m = np.asarray(m, dtype=np.complex128)
-    return [[complex_doc(z) for z in row] for row in m]
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def vector_doc(v) -> list:
-    return [complex_doc(z) for z in np.asarray(v, dtype=np.complex128).reshape(-1)]
+    return matrix_doc(np.ravel(v))
 
 
-def _parse_complex(entry, where: str) -> complex:
-    # json accepts NaN, Infinity and overflowing literals such as 1e400
-    if (
-        not isinstance(entry, (list, tuple))
-        or len(entry) != 2
-        or not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in entry)
-        or not all(math.isfinite(p) for p in entry)
-    ):
-        raise FileFormatError(f"{where}: complex entries must be [re, im] finite numbers")
-    return complex(float(entry[0]), float(entry[1]))
+def _finite_number(x) -> bool:
+    # json reads NaN, Infinity and 1e400 as floats that are not finite, and
+    # an integer of any length, on which math.isfinite raises OverflowError
+    # when a float cannot hold it
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def parse_matrix(doc, n: int, where: str) -> np.ndarray:
     if not isinstance(doc, list) or len(doc) != n:
         raise FileFormatError(f"{where}: expected {n} rows")
-    out = np.zeros((n, n), dtype=np.complex128)
     for i, row in enumerate(doc):
         if not isinstance(row, list) or len(row) != n:
             raise FileFormatError(f"{where}: row {i} must have {n} entries")
         for j, entry in enumerate(row):
-            out[i, j] = _parse_complex(entry, f"{where}[{i}][{j}]")
-    return out
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                    and _finite_number(entry[0]) and _finite_number(entry[1])):
+                raise FileFormatError(
+                    f"{where}[{i}][{j}]: complex entries must be [re, im] finite numbers")
+    # each [re, im] pair becomes one complex128, rounded as float() rounds
+    return np.array(doc, dtype=np.float64).view(np.complex128)[..., 0]
 
 
 def _parse_common(doc) -> tuple[int, list, FactorRep]:
     if not isinstance(doc, dict):
         raise FileFormatError("top level must be a JSON object")
     n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+    if not _finite_number(n) or not isinstance(n, int) or n < 2:
         raise FileFormatError('"n" must be an integer >= 2')
     terms_doc = doc.get("terms")
     if not isinstance(terms_doc, list):
@@ -141,10 +123,8 @@ def _parse_common(doc) -> tuple[int, list, FactorRep]:
         rep = make_factor(n, "tracial")
     elif isinstance(state, dict) and "weights" in state:
         weights = state["weights"]
-        if not isinstance(weights, list) or not all(
-            isinstance(w, (int, float)) and not isinstance(w, bool) for w in weights
-        ):
-            raise FileFormatError('"state.weights" must be a list of numbers')
+        if not isinstance(weights, list) or not all(_finite_number(w) for w in weights):
+            raise FileFormatError('"state.weights" must be a list of finite numbers')
         rep = make_factor(n, [float(w) for w in weights])
     else:
         raise FileFormatError('"state" must be "tracial" or {"weights": [...]}')
@@ -187,6 +167,6 @@ def state_doc(rep: FactorRep):
 def map_doc(phi: PairSumMap, rep: FactorRep) -> dict:
     """A document in the input schema describing phi over rep."""
     doc: dict = {"n": phi.n}
-    doc["terms"] = [{"A": matrix_doc(a), "B": matrix_doc(b)} for a, b in phi.terms]
+    doc["terms"] = [{"A": a, "B": b} for a, b in zip(matrix_doc(phi.a), matrix_doc(phi.b))]
     doc["state"] = state_doc(rep)
     return doc

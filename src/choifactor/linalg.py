@@ -106,7 +106,13 @@ def psd_within(m, tol: float) -> tuple[bool, float]:
 def _psd_split(m, tol: float) -> tuple[bool, float, float]:
     # psd_within's verdict and lowest eigenvalue, plus the defect
     # max |m - m*| of the one Hermitian split both are read from
-    herm, defect, hermitian = hermitian_part(m, tol)
+    return _psd_of(hermitian_part(m, tol), tol)
+
+
+def _psd_of(split: tuple[np.ndarray, float, bool], tol: float) -> tuple[bool, float, float]:
+    # _psd_split read from split = hermitian_part(m, tol), for a caller
+    # that uses the split for more than this verdict
+    herm, defect, hermitian = split
     _require_finite("diagonalize", herm)
     low = float(np.linalg.eigvalsh(herm)[0])
     return hermitian and low >= -tol, low, defect

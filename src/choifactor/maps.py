@@ -35,6 +35,7 @@ from .linalg import (
     _check_tol,
     _descending_eigh,
     _hermitian_split,
+    _psd_of,
     _psd_split,
     _require_finite,
     as_complex,
@@ -185,11 +186,13 @@ def kraus_decompose(
     """
     _check_tol(tol)
     rep = _resolve_rep(phi, rep)
-    return _kraus_from_dual_choi(dual_choi(phi, rep), rep, tol)
+    return _kraus_from_split(hermitian_part(dual_choi(phi, rep), tol), rep, tol)
 
 
-def _kraus_from_dual_choi(d: np.ndarray, rep: FactorRep, tol: float) -> KrausDecomposition:
-    herm, defect, hermitian = hermitian_part(d, tol)
+def _kraus_from_split(split: tuple[np.ndarray, float, bool], rep: FactorRep,
+                      tol: float) -> KrausDecomposition:
+    # Kraus operators from split = hermitian_part(d, tol) of the dual Choi operator d
+    herm, defect, hermitian = split
     evals, evecs, scale = _descending_eigh(herm)
     if not hermitian:
         raise NotPositive(float(evals[-1]), hermiticity_defect=defect,
@@ -541,10 +544,13 @@ def check_cp(
     ext_ok = (_choi_certifies_probes(phi, choi_defect, choi_low, tol)
               or _cp_probes_pass(phi.n, t.T, trials, rep, seed, tol))
 
-    d = dual_choi(phi, rep)
+    # one Hermitian split of the dual Choi operator serves (3) and (4)
+    split = hermitian_part(dual_choi(phi, rep), tol)
     kraus_ok = False
     try:
-        kd = _kraus_from_dual_choi(d, rep, tol)
+        # a dual Choi operator that is not Hermitian within tol has no Kraus
+        # operators, so its eigh is skipped
+        kd = _kraus_from_split(split, rep, tol) if split[2] else None
     except NotPositive:
         kd = None
     if kd is not None:
@@ -553,7 +559,7 @@ def check_cp(
         worst = float(np.max(np.abs(t_kraus - t)))
         kraus_ok = worst <= scaled_tol(worst, 10.0 * max(tol, 1e-12), t)
 
-    dual_ok, dual_low = psd_within(d, tol)
+    dual_ok, dual_low, _ = _psd_of(split, tol)
 
     verdicts = (ext_ok, ext_ok, kraus_ok, dual_ok, choi_ok)
     report = CpReport(

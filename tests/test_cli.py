@@ -75,6 +75,8 @@ def test_parse_rejects_bad_documents():
         parse_map_file({"n": 1, "terms": []})
     with pytest.raises(FileFormatError):
         parse_map_file({"n": True, "terms": []})
+    with pytest.raises(FileFormatError):  # too long for a float
+        parse_map_file({"n": 10**400, "terms": []})
     with pytest.raises(FileFormatError):
         parse_map_file({"n": 2, "terms": [{"A": [[1, 2], [3, 4]]}]})
     with pytest.raises(FileFormatError):
@@ -89,12 +91,16 @@ def test_parse_complex_entries_strictly():
         parse_map_file(bad)
 
 
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize(
+    "literal",
+    ["NaN", "Infinity", "-Infinity", "1e400", pytest.param("1" + "0" * 400, id="400-digits")],
+)
 @pytest.mark.parametrize(
     "cmd", ["choi", "dphi", "adjoint", "cp", "kraus", "positive", "spectral"]
 )
 def test_cli_nonfinite_entries_exit_2(tmp_path, cmd, literal):
-    # Python's json reads these literals as non-finite floats
+    # Python's json reads these literals as non-finite floats, or as an
+    # integer too long for a float
     text = (
         '{"n": 2, "terms": [{"A": [[[%s, 0], [0, 0]], [[0, 0], [1, 0]]], '
         '"B": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]}' % literal
@@ -245,12 +251,14 @@ def test_cli_invalid_json_exits_2(tmp_path):
 
 
 def test_cli_bad_weights_exit_2(tmp_path):
-    doc = {"n": 2, "terms": [], "state": {"weights": [1.0, -1.0]}}
-    path = tmp_path / "neg.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    code, _, err = run_cli(["dphi", str(path)])
-    assert code == 2
-    assert "error:" in err
+    # a negative weight, and one too long for a float
+    for weights in ([1.0, -1.0], [10**400, 1]):
+        doc = {"n": 2, "terms": [], "state": {"weights": weights}}
+        path = tmp_path / "bad_weights.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run_cli(["dphi", str(path)])
+        assert code == 2
+        assert "error:" in err
 
 
 def test_cli_assert_failures():

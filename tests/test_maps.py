@@ -999,6 +999,25 @@ def test_check_cp_builds_the_dual_choi_operator_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_check_cp_diagonalizes_no_dual_choi_operator_that_is_not_hermitian(monkeypatch):
+    # Kraus extraction refuses such an operator, so its eigh would be wasted
+    calls = []
+    eigh = maps._descending_eigh
+
+    def counting(herm):
+        calls.append(1)
+        return eigh(herm)
+
+    monkeypatch.setattr(maps, "_descending_eigh", counting)
+    rng = np.random.default_rng(152)
+    rep = make_factor(3, [0.2, 0.3, 0.5])
+    report = _cp_report(random_map(rng, 3, 2), rep)
+    assert not report.kraus_exists and not report.dual_choi_psd
+    assert calls == []
+    _cp_report(random_cp_map(rng, 3, 2), rep)
+    assert len(calls) == 1
+
+
 def test_kraus_and_spectral_take_one_hermitian_part_per_operator(monkeypatch):
     calls = []
     split = linalg.hermitian_part
