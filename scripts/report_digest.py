@@ -24,7 +24,11 @@ Eight digests are printed, each with the number of records behind it:
                   at n in {2, 3}, restarts in {1, 32}, with the grid oracle
                   at n = 2; the random maps do not preserve Hermiticity
                   and take the direct path, which is also run on the
-                  random maps at n in {4, 6}
+                  random maps at n in {4, 6}; the see-saw also runs at
+                  n in {4, 6}, restarts in {1, 32}, on Hermiticity-
+                  preserving decomposable maps (Kraus terms plus a
+                  conjugated transpose, positive) and Kraus-minus-measure
+                  maps (not positive), at uniform and non-uniform weights
     spectral      coefficients and implementer bytes of spectral_decompose,
                   or the error it raises, and for the projections the term
                   bytes of rank_one_subprojection
@@ -98,6 +102,7 @@ BAND_CELLS = 6
 POSITIVE_SIZES = (2, 3)
 DIRECT_SIZES = (4, 6)  # the direct path only: the see-saw is slow there
 POSITIVE_RESTARTS = (1, 32)
+SEESAW_SIZES = (4, 6)  # Hermiticity-preserving maps the see-saw decides
 SPECTRAL_SIZES = (2, 3, 4)
 
 
@@ -130,6 +135,35 @@ def _maps(rng, n):
     yield "transpose", transpose_map(n)
     yield "reduction", map_sum(PairSumMap(n, _conjugations(units, np.ones(n * n) / n)),
                                PairSumMap(n, _conjugations(vs[:1], [-1.0])))
+
+
+def _unit(rng, n):
+    z = _cgauss(rng, n)
+    return z / np.linalg.norm(z)
+
+
+def seesaw_cases():
+    """(label, map, representation) triples of Hermiticity-preserving maps
+    at n in SEESAW_SIZES, so check_positive takes the see-saw there."""
+    rng = np.random.default_rng(20145)
+    for n in SEESAW_SIZES:
+        reps = (("tracial", make_factor(n)), ("weighted", make_factor(n, rng.uniform(0.2, 1.0, n))))
+        # C -> sum V* C V + W* C^T W, with C^T = sum_ij e_ij C e_ij: positive
+        vs = [_cgauss(rng, n, n) / n for _ in range(n * n)]
+        w = _cgauss(rng, n, n) / n
+        units = np.eye(n * n).reshape(n * n, n, n)
+        transposed = tuple((np.conj(w).T @ e, e @ w) for e in units)
+        decomposable = PairSumMap(n, _conjugations(vs, np.ones(n * n)) + transposed)
+        # C -> sum V* C V - q <z|C|z> |w><w|, with <w|phi(z z*)|w> = -1/2
+        vs = vs[:n]
+        z, w = _unit(rng, n), _unit(rng, n)
+        q = sum(abs(np.vdot(w, np.conj(v).T @ z)) ** 2 for v in vs) + 0.5
+        measure = ((-q * np.outer(w, np.conj(z)), np.outer(z, np.conj(w))),)
+        kraus_minus_measure = PairSumMap(n, _conjugations(vs, np.ones(n)) + measure)
+        for kind, phi in (("decomposable", decomposable),
+                          ("kraus_minus_measure", kraus_minus_measure)):
+            for weighting, rep in reps:
+                yield f"{kind} n={n} {weighting}", phi, rep
 
 
 def cases():
@@ -220,6 +254,14 @@ def main() -> int:
         digests[kind].update(label.encode() + b"\0" + payload + b"\n")
         counts[kind] += 1
 
+    def record_positive(label, phi, rep):
+        for restarts in POSITIVE_RESTARTS:
+            cert = check_positive(phi, rep, restarts=restarts, tol=TOL, seed=restarts,
+                                  oracle=phi.n == 2)
+            fields = (cert.verdict, cert.value, cert.method, cert.seed, cert.pairing_imag)
+            payload = repr(fields).encode() + cert.witness_u.tobytes() + cert.witness_v.tobytes()
+            record("positive", f"{label} restarts={restarts}", payload)
+
     inputs = np.random.default_rng(20143)  # apply_map and kraus_apply inputs
     for label, phi, rep in cases():
         c = _cgauss(inputs, phi.n, phi.n)
@@ -245,12 +287,10 @@ def main() -> int:
             record("kraus", f"{label} tol={tol!r}", payload)
             record("algebra", f"{label} tol={tol!r} kraus_apply", kraus_apply(kd, c).tobytes())
         if phi.n in POSITIVE_SIZES or (phi.n in DIRECT_SIZES and label.startswith("random ")):
-            for restarts in POSITIVE_RESTARTS:
-                cert = check_positive(phi, rep, restarts=restarts, tol=TOL, seed=restarts,
-                                      oracle=phi.n == 2)
-                fields = (cert.verdict, cert.value, cert.method, cert.seed, cert.pairing_imag)
-                payload = repr(fields).encode() + cert.witness_u.tobytes() + cert.witness_v.tobytes()
-                record("positive", f"{label} restarts={restarts}", payload)
+            record_positive(label, phi, rep)
+
+    for label, phi, rep in seesaw_cases():
+        record_positive(label, phi, rep)
 
     for label, element, is_projection in elements():
         record("algebra", f"{label} elements", _element_bytes(element))
