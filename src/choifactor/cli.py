@@ -208,7 +208,7 @@ def main(argv=None) -> int:
     except InternalDisagreement as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ChoiFactorError as exc:
+    except (ChoiFactorError, MemoryError) as exc:  # MemoryError: input too large to hold
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except np.linalg.LinAlgError as exc:

@@ -8,7 +8,8 @@ A map file and an element file share one shape:
 
 Complex entries are [re, im] pairs; "state" is optional and defaults to
 tracial. Every entry, weight and n must be a finite number: NaN,
-Infinity, 1e400 and integers too long for a float raise FileFormatError.
+Infinity, 1e400, integers too long for a float and an n whose n^2 x n^2
+complex operator numpy cannot index raise FileFormatError.
 
 Output documents print every float with 17 significant digits, enough to
 round-trip binary64 exactly, and -0 as 0, with keys in insertion order,
@@ -105,6 +106,8 @@ def _parse_common(doc) -> tuple[int, list, FactorRep]:
     n = doc.get("n")
     if not _finite_number(n) or not isinstance(n, int) or n < 2:
         raise FileFormatError('"n" must be an integer >= 2')
+    if 16 * n**4 > np.iinfo(np.intp).max:
+        raise FileFormatError(f'"n" = {n} is too large: numpy cannot index an n^2 x n^2 operator')
     terms_doc = doc.get("terms")
     if not isinstance(terms_doc, list):
         raise FileFormatError('"terms" must be a list')
@@ -155,8 +158,8 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+        raise FileFormatError(f"cannot read {path} as JSON: {exc}") from exc
 
 
 def state_doc(rep: FactorRep):

@@ -129,13 +129,16 @@ def leg_swap(n: int) -> np.ndarray:
 
 
 def canonical_phase(v: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Rotate a global phase so the first entry above tol is real positive."""
+    """Rotate a global phase so the first entry above tol is real positive, in
+    v or in each column of a matrix v; one with no entry above tol is left as it is."""
     v = as_complex(v).copy()
-    big = np.abs(v) > tol
-    if not np.any(big):
-        return v
-    pivot = v[int(np.argmax(big))]
-    v *= np.conj(pivot) / abs(pivot)
+    cols = v if v.ndim == 2 else v[:, None]
+    big = np.abs(cols) > tol
+    some = np.flatnonzero(np.any(big, axis=0))
+    if some.size:
+        pivot = cols[np.argmax(big[:, some], axis=0), some]
+        # hypot is what abs() of one complex number computes
+        cols[:, some] *= np.conj(pivot) / np.hypot(pivot.real, pivot.imag)
     return v
 
 
@@ -176,24 +179,22 @@ def _cluster_runs(values: np.ndarray, gap: float) -> list[np.ndarray]:
 
 
 def _canonicalize(w: np.ndarray, v: np.ndarray, scale: float, above: float | None = None) -> None:
-    # In place: a canonical basis inside each (near-)degenerate cluster and a
-    # canonical phase on each of its columns, for every cluster, or with
-    # `above` only for those whose largest eigenvalue is not <= above (a NaN
-    # is kept, as by a caller keeping the columns with not c <= above).
+    # In place: a canonical basis inside each (near-)degenerate cluster, for
+    # every cluster, or with `above` only for those whose largest eigenvalue
+    # is not <= above (a NaN is kept, as by a caller keeping the columns with
+    # not c <= above), then a canonical phase on every column in one call.
     # Clusters are cut over all of w either way, so a column's bits do not
     # depend on `above`.
     for run in _cluster_runs(w, _CLUSTER_RTOL * scale):
-        if above is None or not w[run[0]] <= above:
-            if len(run) > 1:
-                # project the standard basis vectors onto the span and
-                # orthonormalize them in index order: the result depends
-                # only on the span, not on the basis eigh returned
-                cols = v[:, run]
-                _, basis = _gram_schmidt((cols @ dagger(cols)).T, np.full(len(v), 1e-6), len(run))
-                if len(basis) == len(run):  # fewer cannot happen for a genuine projection
-                    v[:, run] = np.stack(basis, axis=1)
-            for c in run:
-                v[:, c] = canonical_phase(v[:, c])
+        if len(run) > 1 and (above is None or not w[run[0]] <= above):
+            # project the standard basis vectors onto the span and
+            # orthonormalize them in index order: the result depends
+            # only on the span, not on the basis eigh returned
+            cols = v[:, run]
+            _, basis = _gram_schmidt((cols @ dagger(cols)).T, np.full(len(v), 1e-6), len(run))
+            if len(basis) == len(run):  # fewer cannot happen for a genuine projection
+                v[:, run] = np.stack(basis, axis=1)
+    v[:] = canonical_phase(v)
 
 
 def hermitian_eig(m, tol: float = TOL_ALG) -> tuple[np.ndarray, np.ndarray]:

@@ -58,27 +58,29 @@ def _side_dim(d: np.ndarray) -> int:
     return n
 
 
-def _contract_u(d4: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # matrix acting on the second leg once the first is fixed at u
-    return np.einsum("i,iajb,j->ab", np.conj(u), d4, u)
+def _u_side(d4: np.ndarray, us: np.ndarray) -> np.ndarray:
+    # for each row u of us, the matrix on the second leg once the first is fixed at u
+    return np.einsum("ri,iajb,rj->rab", np.conj(us), d4, us)
 
 
-def _contract_v(d4: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("a,iajb,b->ij", np.conj(v), d4, v)
+def _v_side(d4: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    return np.einsum("ra,iajb,rb->rij", np.conj(vs), d4, vs)
 
 
-def _min_eigvec(m: np.ndarray) -> tuple[float, np.ndarray]:
-    evals, evecs = np.linalg.eigh(m)
-    return float(evals[0]), evecs[:, 0]
+def _lowest(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    evals, evecs = np.linalg.eigh(mats)
+    return evals[:, 0], evecs[:, :, 0]
 
 
-def _check_descent(value: float, previous: float, scale: float) -> None:
+def _check_descent(values: np.ndarray, previous: np.ndarray, scale: float) -> None:
     # each half-step minimizes over a set holding the previous point, so
     # the objective can rise only by rounding, or not be a number at all
-    if not value <= previous + 1e-12 * scale:
+    rose = np.flatnonzero(~(values <= previous + 1e-12 * scale))
+    if rose.size:
+        r = rose[0]
         raise NumericalFailure(
-            f"seesaw step went from {previous!r} to {value!r} instead of down: "
-            "the pairing operator is out of floating point range"
+            f"seesaw step went from {float(previous[r])!r} to {float(values[r])!r} instead of "
+            "down: the pairing operator is out of floating point range"
         )
 
 
@@ -99,9 +101,11 @@ def seesaw_product_min(
     Each half-step solves a small eigenvalue problem, so the objective
     never increases; a restart stops when a full sweep improves by less
     than tol. Restart r draws its starting vector from
-    default_rng(seed + r); the best restart wins, ties to the lowest
-    index. Heuristic: a value above -tol does not prove positivity.
-    Raises ValueError when restarts < 1.
+    default_rng(seed + r). The restarts still running advance together,
+    one stacked contraction and one stacked eigh per half-step, each with
+    the bits a restart run alone would get. The best restart wins, ties
+    to the lowest index. Heuristic: a value above -tol does not prove
+    positivity. Raises ValueError when restarts < 1.
     """
     _check_restarts(restarts)
     d = as_complex(d)
@@ -112,32 +116,28 @@ def seesaw_product_min(
         raise NotHermitian("seesaw needs a Hermitian pairing operator")
     d4 = d.reshape(n, n, n, n)
 
-    best: tuple[float, np.ndarray, np.ndarray] | None = None
+    us = np.empty((restarts, n), dtype=np.complex128)
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        u /= np.linalg.norm(u)
-        value, v = _min_eigvec(_contract_u(d4, u))
-        for _ in range(iters):
-            sweep_start = value
-            value, u = _min_eigvec(_contract_v(d4, v))
-            _check_descent(value, sweep_start, scale)
-            half = value
-            value, v = _min_eigvec(_contract_u(d4, u))
-            _check_descent(value, half, scale)
-            if sweep_start - value < tol:
-                break
-        if best is None or value < best[0]:
-            best = (value, u, v)
+        us[r] = u / np.linalg.norm(u)
+    values, vs = _lowest(_u_side(d4, us))
+    running = np.arange(restarts)
+    for _ in range(iters):
+        if not running.size:
+            break
+        sweep_start = values[running]
+        half, us[running] = _lowest(_v_side(d4, vs[running]))
+        _check_descent(half, sweep_start, scale)
+        values[running], vs[running] = _lowest(_u_side(d4, us[running]))
+        _check_descent(values[running], half, scale)
+        running = running[~(sweep_start - values[running] < tol)]
 
-    _, u, v = best
-    u = canonical_phase(u)
-    v = canonical_phase(v)
-    final = product_pairing(d, u, v)
-    value = float(np.real(final))
-    verdict = "not-positive" if value < -tol else "positive"
+    best = int(np.argmin(values))
+    u, v = canonical_phase(us[best]), canonical_phase(vs[best])
+    value = float(np.real(product_pairing(d, u, v)))
     return PositivityCertificate(
-        verdict=verdict,
+        verdict="not-positive" if value < -tol else "positive",
         value=value,
         witness_u=u,
         witness_v=v,
@@ -171,14 +171,11 @@ def brute_product_min(d, resolution: int = 90) -> tuple[float, np.ndarray, np.nd
         [np.cos(tt / 2.0).ravel(), np.exp(1j * pp.ravel()) * np.sin(tt / 2.0).ravel()],
         axis=1,
     )
-    mats = np.einsum("gi,iajb,gj->gab", np.conj(us), d4, us)
+    mats = _u_side(d4, us)
     _require_finite("diagonalize", mats)
-    evals, evecs = np.linalg.eigh(mats)
-    lows = evals[:, 0]
+    lows, vs = _lowest(mats)
     g = int(np.argmin(lows))
-    u = canonical_phase(us[g])
-    v = canonical_phase(evecs[g][:, 0])
-    return float(lows[g]), u, v
+    return float(lows[g]), canonical_phase(us[g]), canonical_phase(vs[g])
 
 
 def _direct_hermiticity_witness(
@@ -247,14 +244,16 @@ def check_positive(
     if not hermitian_part(choi(phi), tol)[2]:
         return _direct_hermiticity_witness(phi, rep, d, seed)
 
-    cert = seesaw_product_min(d, restarts=restarts, iters=iters, tol=tol, seed=seed)
+    # the Hermitian part the test above passed, so the see-saw cannot refuse it
+    herm = hermitian_part(d, np.inf)[0]
+    cert = seesaw_product_min(herm, restarts=restarts, iters=iters, tol=tol, seed=seed)
     value, u, v = cert.value, cert.witness_u, cert.witness_v
     method = "seesaw"
 
     if oracle:
         if phi.n != 2:
             raise UnsupportedDimension("oracle confirmation needs n = 2")
-        bval, bu, bv = brute_product_min(d, resolution=resolution)
+        bval, bu, bv = brute_product_min(herm, resolution=resolution)
         if bval < value:
             value, u, v = bval, bu, bv
         method = "brute"

@@ -58,3 +58,16 @@ def matrix_unit(n, i, j):
     u = np.zeros((n, n), dtype=np.complex128)
     u[i, j] = 1.0
     return u
+
+
+def reference_canonical_phase(v, tol=1e-8):
+    # canonical_phase as it once was, one vector at a time: the first entry
+    # above tol is rotated to the positive real axis, and a vector with no
+    # entry above tol is returned as it is
+    v = np.asarray(v, dtype=np.complex128).copy()
+    big = np.abs(v) > tol
+    if not np.any(big):
+        return v
+    pivot = v[int(np.argmax(big))]
+    v *= np.conj(pivot) / abs(pivot)
+    return v

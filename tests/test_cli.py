@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -77,6 +78,13 @@ def test_parse_rejects_bad_documents():
         parse_map_file({"n": True, "terms": []})
     with pytest.raises(FileFormatError):  # too long for a float
         parse_map_file({"n": 10**400, "terms": []})
+    # an n^2 x n^2 complex operator numpy cannot index: 16 n^4 bytes above
+    # the largest np.intp; the largest n below that bound is read
+    largest = math.isqrt(math.isqrt(np.iinfo(np.intp).max // 16))
+    for n in (largest + 1, 100000, 10**13):
+        with pytest.raises(FileFormatError, match="too large"):
+            parse_map_file({"n": n, "terms": []})
+    assert parse_map_file({"n": largest, "terms": []})[0].n == largest
     with pytest.raises(FileFormatError):
         parse_map_file({"n": 2, "terms": [{"A": [[1, 2], [3, 4]]}]})
     with pytest.raises(FileFormatError):
@@ -244,10 +252,13 @@ def test_cli_missing_file_exits_2():
 
 def test_cli_invalid_json_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    code, _, err = run_cli(["dphi", str(bad)])
-    assert code == 2
-    assert "error:" in err
+    # not JSON, and JSON nested too deeply for the reader's recursion
+    for text in ("{not json", "[" * 100000 + "]" * 100000):
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(["dphi", str(bad)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_cli_bad_weights_exit_2(tmp_path):
@@ -259,6 +270,15 @@ def test_cli_bad_weights_exit_2(tmp_path):
         code, _, err = run_cli(["dphi", str(path)])
         assert code == 2
         assert "error:" in err
+    # an n the reader refuses, and one whose 3.6 PiB dual Choi operator no
+    # address space holds, so that allocating it fails at once
+    for n in (100000, 4000):
+        path = tmp_path / "huge_n.json"
+        path.write_text(json.dumps({"n": n, "terms": []}), encoding="utf-8")
+        code, out, err = run_cli(["dphi", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_cli_assert_failures():
@@ -310,6 +330,21 @@ def test_cli_dphi_honors_weights(tmp_path):
     from choifactor import dual_choi
 
     assert np.abs(got - dual_choi(phi, rep)).max() < 1e-15
+
+
+def test_cli_positive_decides_a_hermiticity_defect_within_tol(tmp_path):
+    # the defect passes the test at --tol 1e-7, so the see-saw must not
+    # refuse the dual Choi operator at a tighter tolerance of its own
+    from choifactor import conjugation_map, identity_map, map_scale, map_sum
+
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    phi = map_sum(identity_map(3), map_scale(conjugation_map(g), 1e-8j))
+    path = tmp_path / "tiny_defect.json"
+    path.write_text(dumps(map_doc(phi, make_factor(3))), encoding="utf-8")
+    code, out, _ = run_cli(["positive", str(path), "--tol", "1e-7", "--assert"])
+    assert code in (0, 3)
+    assert json.loads(out)["method"] == "seesaw"
 
 
 def test_cli_positive_oracle_flag():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from choifactor import DimensionMismatch, NotHermitian, NotInSpan, linalg
 from choifactor.linalg import (
@@ -13,7 +16,10 @@ from choifactor.linalg import (
     scaled_tol,
     subspace_coeffs,
 )
-from helpers import cgauss, random_hermitian
+from helpers import cgauss, random_hermitian, reference_canonical_phase
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=25, database=None)
+ENTRIES = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SWAP = np.array(
@@ -101,6 +107,26 @@ def test_canonical_phase():
     out = canonical_phase(v)
     assert out[1].real > 0 and abs(out[1].imag) < 1e-15
     assert np.allclose(np.abs(out), np.abs(v))
+
+
+@st.composite
+def phase_inputs(draw):
+    """A matrix whose columns are scaled by 1, 1e-9, 0 or -0, so that some
+    have no entry above canonical_phase's tol and hold zeros of either sign."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    m = draw(arrays(np.complex128, (rows, cols), elements=ENTRIES))
+    scales = draw(arrays(np.float64, cols, elements=st.sampled_from([1.0, 1e-9, 0.0, -0.0])))
+    return m * scales
+
+
+@PROPERTY_SETTINGS
+@given(phase_inputs())
+def test_canonical_phase_of_a_matrix_is_the_per_column_reference(m):
+    # bit for bit (tobytes, so the sign of zero counts), columns with no
+    # entry above tol included
+    want = np.stack([reference_canonical_phase(m[:, c]) for c in range(m.shape[1])], axis=1)
+    assert canonical_phase(m).tobytes() == want.tobytes()
+    assert canonical_phase(m[:, 0]).tobytes() == want[:, 0].tobytes()
 
 
 def test_subspace_coeffs_picks_basis_vector():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from choifactor import (
     NotHermitian,
@@ -9,6 +12,7 @@ from choifactor import (
     apply_map,
     brute_product_min,
     check_positive,
+    conjugation_map,
     dual_choi,
     identity_map,
     make_factor,
@@ -20,7 +24,11 @@ from choifactor import (
     trace_map,
     transpose_map,
 )
-from helpers import cgauss, random_hermitian, random_hp_map, random_psd
+from choifactor.linalg import hermitian_part
+from helpers import cgauss, random_hermitian, random_hp_map, random_psd, reference_canonical_phase
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=25, database=None)
+ENTRIES = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
 
 TRACIAL2 = make_factor(2)
 SWAP = np.array(
@@ -182,6 +190,14 @@ def test_check_positive_detects_nonhermitian_outputs():
     assert abs(cert.pairing_imag) > 1e-8
     out = apply_map(phi, np.outer(cert.witness_v, cert.witness_v.conj()))
     assert np.abs(out - out.conj().T).max() > 1e-8
+    # a defect within tol is left to the see-saw, which takes the Hermitian
+    # part of the dual Choi operator instead of testing it at a tighter tol
+    rng = np.random.default_rng(0)
+    tiny = map_sum(identity_map(3), map_scale(conjugation_map(cgauss(rng, 3, 3)), 1e-8j))
+    assert check_positive(tiny, tol=1e-9).method == "direct"
+    cert = check_positive(tiny, tol=1e-7)
+    assert cert.method == "seesaw"
+    assert cert.verdict == "positive"
 
 
 def test_check_positive_positive_but_not_cp_separation():
@@ -286,3 +302,55 @@ def test_restarts_and_resolution_below_one_are_refused():
     with pytest.raises(ValueError, match="resolution"):
         brute_product_min(d, resolution=0)
     assert seesaw_product_min(d, restarts=1).verdict == "positive"
+
+
+# ------------------------------------------------ per-restart reference
+
+
+def _reference_seesaw(d, restarts, iters, tol, seed):
+    # the see-saw as it once ran, one restart at a time, each with its own
+    # contraction and eigh calls; returns the certificate's value and witnesses
+    d = hermitian_part(d, 1e-9)[0]
+    n = int(round(np.sqrt(d.shape[0])))
+    d4 = d.reshape(n, n, n, n)
+
+    def lowest(m):
+        evals, evecs = np.linalg.eigh(m)
+        return float(evals[0]), evecs[:, 0]
+
+    best = None
+    for r in range(restarts):
+        rng = np.random.default_rng(seed + r)
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        value, v = lowest(np.einsum("i,iajb,j->ab", np.conj(u), d4, u))
+        for _ in range(iters):
+            sweep_start = value
+            value, u = lowest(np.einsum("a,iajb,b->ij", np.conj(v), d4, v))
+            value, v = lowest(np.einsum("i,iajb,j->ab", np.conj(u), d4, u))
+            if sweep_start - value < tol:
+                break
+        if best is None or value < best[0]:
+            best = (value, u, v)
+    u, v = reference_canonical_phase(best[1]), reference_canonical_phase(best[2])
+    return float(np.real(product_pairing(d, u, v))), u, v
+
+
+@st.composite
+def hermitian_operators(draw):
+    n = draw(st.sampled_from([2, 3, 4]))
+    m = draw(arrays(np.complex128, (n * n, n * n), elements=ENTRIES))
+    return (m + m.conj().T) / 2
+
+
+@PROPERTY_SETTINGS
+@given(hermitian_operators(), st.sampled_from([1, 5, 32]), st.sampled_from([0, 1, 500]),
+       st.sampled_from([1e-9, 1e-4]), st.integers(0, 2**16))
+def test_stacked_seesaw_is_the_per_restart_reference(d, restarts, iters, tol, seed):
+    # bit for bit (tobytes, so the sign of zero counts): the restarts still
+    # running advance together, each stopping by its own rule
+    cert = seesaw_product_min(d, restarts=restarts, iters=iters, tol=tol, seed=seed)
+    value, u, v = _reference_seesaw(d, restarts, iters, tol, seed)
+    assert np.float64(cert.value).tobytes() == np.float64(value).tobytes()
+    assert cert.witness_u.tobytes() == u.tobytes()
+    assert cert.witness_v.tobytes() == v.tobytes()
