@@ -179,22 +179,25 @@ def _cluster_runs(values: np.ndarray, gap: float) -> list[np.ndarray]:
 
 
 def _canonicalize(w: np.ndarray, v: np.ndarray, scale: float, above: float | None = None) -> None:
-    # In place: a canonical basis inside each (near-)degenerate cluster, for
-    # every cluster, or with `above` only for those whose largest eigenvalue
-    # is not <= above (a NaN is kept, as by a caller keeping the columns with
-    # not c <= above), then a canonical phase on every column in one call.
+    # In place: a canonical basis inside each (near-)degenerate cluster and a
+    # canonical phase on each of its columns, for every cluster, or with
+    # `above` only for those whose largest eigenvalue is not <= above (a NaN
+    # is kept, as by a caller keeping the columns with not c <= above).
     # Clusters are cut over all of w either way, so a column's bits do not
     # depend on `above`.
+    kept = []
     for run in _cluster_runs(w, _CLUSTER_RTOL * scale):
-        if len(run) > 1 and (above is None or not w[run[0]] <= above):
-            # project the standard basis vectors onto the span and
-            # orthonormalize them in index order: the result depends
-            # only on the span, not on the basis eigh returned
-            cols = v[:, run]
-            _, basis = _gram_schmidt((cols @ dagger(cols)).T, np.full(len(v), 1e-6), len(run))
-            if len(basis) == len(run):  # fewer cannot happen for a genuine projection
-                v[:, run] = np.stack(basis, axis=1)
-    v[:] = canonical_phase(v)
+        if above is None or not w[run[0]] <= above:
+            if len(run) > 1:
+                # project the standard basis vectors onto the span and
+                # orthonormalize them in index order: the result depends
+                # only on the span, not on the basis eigh returned
+                cols = v[:, run]
+                _, basis = _gram_schmidt((cols @ dagger(cols)).T, np.full(len(v), 1e-6), len(run))
+                if len(basis) == len(run):  # fewer cannot happen for a genuine projection
+                    v[:, run] = np.stack(basis, axis=1)
+            kept.extend(run)
+    v[:, kept] = canonical_phase(v[:, kept])
 
 
 def hermitian_eig(m, tol: float = TOL_ALG) -> tuple[np.ndarray, np.ndarray]:

@@ -199,7 +199,7 @@ def _kraus_from_split(split: tuple[np.ndarray, float, bool], rep: FactorRep,
                           message="dual Choi operator is not Hermitian")
     if evals[-1] < -tol:
         raise NotPositive(float(evals[-1]), hermiticity_defect=defect)
-    # only the eigenvectors kept below need their canonical basis
+    # only the eigenvectors kept below need their canonical basis and phase
     _canonicalize(evals, evecs, scale, above=tol)
 
     kept = ~(evals <= tol)
