@@ -171,11 +171,16 @@ def _descending_eigh(herm: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return w[::-1].copy(), v[:, ::-1].copy(), scale
 
 
+def _cluster_starts(values: np.ndarray, gap: float) -> np.ndarray:
+    # Where each run of sorted values whose neighbours are at most gap apart
+    # begins; a NaN cuts, and no values give no runs.
+    return np.flatnonzero(np.concatenate(([len(values) > 0], ~(np.abs(np.diff(values)) <= gap))))
+
+
 def _cluster_runs(values: np.ndarray, gap: float) -> list[np.ndarray]:
-    # The index runs, in order, of sorted values whose neighbours are at
-    # most gap apart; a NaN cuts, and no values give no runs.
-    cuts = np.flatnonzero(~(np.abs(np.diff(values)) <= gap)) + 1
-    return np.split(np.arange(len(values)), cuts) if len(values) else []
+    # The index runs of _cluster_starts, in order.
+    starts = _cluster_starts(values, gap)
+    return np.split(np.arange(len(values)), starts[1:]) if len(starts) else []
 
 
 def _canonicalize(w: np.ndarray, v: np.ndarray, scale: float, above: float | None = None) -> None:
@@ -184,19 +189,21 @@ def _canonicalize(w: np.ndarray, v: np.ndarray, scale: float, above: float | Non
     # `above` only for those whose largest eigenvalue is not <= above (a NaN
     # is kept, as by a caller keeping the columns with not c <= above).
     # Clusters are cut over all of w either way, so a column's bits do not
-    # depend on `above`.
-    kept = []
-    for run in _cluster_runs(w, _CLUSTER_RTOL * scale):
-        if above is None or not w[run[0]] <= above:
-            if len(run) > 1:
-                # project the standard basis vectors onto the span and
-                # orthonormalize them in index order: the result depends
-                # only on the span, not on the basis eigh returned
-                cols = v[:, run]
-                _, basis = _gram_schmidt((cols @ dagger(cols)).T, np.full(len(v), 1e-6), len(run))
-                if len(basis) == len(run):  # fewer cannot happen for a genuine projection
-                    v[:, run] = np.stack(basis, axis=1)
-            kept.extend(run)
+    # depend on `above`; a dropped cluster is never built.
+    starts = _cluster_starts(w, _CLUSTER_RTOL * scale)
+    sizes = np.diff(np.append(starts, len(w)))
+    keep = np.ones(len(starts), dtype=bool) if above is None else ~(w[starts] <= above)
+    multi = keep & (sizes > 1)
+    for start, size in zip(starts[multi].tolist(), sizes[multi].tolist()):
+        # project the standard basis vectors onto the span and orthonormalize
+        # them in index order: the result depends only on the span, not on
+        # the basis eigh returned
+        run = np.arange(start, start + size)
+        cols = v[:, run]
+        _, basis = _gram_schmidt((cols @ dagger(cols)).T, np.full(len(v), 1e-6), size)
+        if len(basis) == size:  # fewer cannot happen for a genuine projection
+            v[:, run] = np.stack(basis, axis=1)
+    kept = np.repeat(keep, sizes)
     v[:, kept] = canonical_phase(v[:, kept])
 
 

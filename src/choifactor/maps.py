@@ -224,31 +224,13 @@ def kraus_apply(kd: KrausDecomposition, c) -> np.ndarray:
 # one call per probe costs little anyway.
 _STACK_BYTES = 1 << 16
 
-# The last seeded probe set drawn to the end is kept, read-only, for the next
-# pass with the same (n^2, trials, seed), when its complex (trials, n^2, n^2)
-# array fits this many bytes: every set up to n = 6 at the default 64 trials,
-# none at n = 8 (4 MiB).
-_PROBE_CACHE_BYTES = 1 << 21
 
-# ((n^2, trials, seed), probes) of the set kept, replaced by one assignment
-_held_probes: tuple[tuple[int, int, int], np.ndarray] | None = None
-
-# The Cholesky certificate of check_cp allows gamma = _CERT_ROUNDING * dim *
-# (dim + 1) of rounding relative to ||herm(out)||_F at probe dimension dim: a
-# bound on the backward error of Cholesky, of eigvalsh and of the products
-# that form the exact path's scaled outputs, each of order dim^2 eps. The
-# Choi certificate allows 4 n gamma beta, with dim + k for dim at k terms
-# (_choi_certifies_probes).
-_CERT_ROUNDING = 2.0 * np.finfo(np.float64).eps
-
-
-def _random_gram(rng: np.random.Generator, count: int, dim: int,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    # count psd Gram matrices g g*, written to out when given; each g draws
-    # its real part and then its imaginary part, as one draw per probe would
+def _random_gram(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    # count psd Gram matrices g g*; each g draws its real part and then its
+    # imaginary part, as one draw per probe would
     s = rng.standard_normal((count, 2, dim, dim))
     g = s[:, 0] + 1j * s[:, 1]
-    return np.matmul(g, np.conj(g).swapaxes(1, 2), out=out)
+    return g @ np.conj(g).swapaxes(1, 2)
 
 
 def _unit_scaled(m: np.ndarray) -> np.ndarray:
@@ -279,39 +261,6 @@ class ExtensionReport:
     seed: int
 
 
-def _probe_stacks(
-    n: int, trials: int, rep: FactorRep, seed: int
-) -> Iterator[tuple[np.ndarray, bool]]:
-    # The inputs of the probe pass: E as a stack of its own, then the seeded
-    # Gram stacks of `trials` random probes, each with whether it still has
-    # to be scaled to unit operator norm (E has norm one already). The
-    # random stacks are slices of the held set when its key matches; a set
-    # small enough to hold is drawn into one array, which is published only
-    # once the pass has drawn it all.
-    global _held_probes
-    dim = n * n
-    per_stack = max(1, _STACK_BYTES // (16 * dim * dim))  # complex128 entries
-    yield state_projection(rep)[1][None], False
-    # only an integer seed names its stream; a Generator passed as the seed
-    # gives other probes each time
-    key = (dim, trials, int(seed)) if isinstance(seed, (int, np.integer)) else None
-    held = _held_probes
-    if key is not None and held is not None and held[0] == key:
-        for start in range(0, trials, per_stack):
-            yield held[1][start:start + per_stack], True
-        return
-    rng = np.random.default_rng(seed)
-    keep = key is not None and 16 * dim * dim * trials <= _PROBE_CACHE_BYTES
-    probes = np.empty((trials, dim, dim), dtype=np.complex128) if keep else None
-    for start in range(0, trials, per_stack):
-        count = min(per_stack, trials - start)
-        out = probes[start:start + count] if keep else None
-        yield _random_gram(rng, count, dim, out), True
-    if keep:
-        probes.flags.writeable = False
-        _held_probes = (key, probes)
-
-
 def _measured(out: np.ndarray, worst_low: float, worst_defect: float) -> tuple[float, float]:
     # The exact evaluation of a stack of outputs: the running worst (lowest)
     # eigenvalue and worst defect relative to max(1, ||out||), updated by
@@ -328,100 +277,65 @@ def _measured(out: np.ndarray, worst_low: float, worst_defect: float) -> tuple[f
     return min([worst_low] + evals[:, 0].tolist()), worst_defect
 
 
+def _state_measured(phi: PairSumMap, rep: FactorRep, t_rows: np.ndarray) -> tuple[float, float]:
+    # The measurement of E alone, a stack of its own of norm one, t_rows the
+    # transposed transfer matrix of phi.
+    return _measured(_amplified(state_projection(rep)[1][None], phi.n, t_rows), np.inf, 0.0)
+
+
 def _extension_probes(
     phi: PairSumMap, trials: int, rep: FactorRep, seed: int
 ) -> Iterator[tuple[float, float]]:
     # The probe pass of extension_positivity_check. Yields the running worst
-    # (lowest) output eigenvalue and worst relative output defect after E,
-    # which is a stack of its own, and after each stack of random probes.
-    # Both running values are monotone and exact at every yield, so the
-    # first yield that fails the tolerance decides the whole pass.
+    # (lowest) output eigenvalue and worst relative output defect after E
+    # and after each stack of random probes, drawn anew from the seed on
+    # every pass. Both running values are monotone and exact at every yield.
     t_rows = transfer(phi).T
-    worst = (np.inf, 0.0)
-    for m, drawn in _probe_stacks(phi.n, trials, rep, seed):
-        worst = _measured(_amplified(_unit_scaled(m) if drawn else m, phi.n, t_rows), *worst)
+    worst = _state_measured(phi, rep, t_rows)
+    yield worst
+    dim = phi.n * phi.n
+    per_stack = max(1, _STACK_BYTES // (16 * dim * dim))  # complex128 entries
+    rng = np.random.default_rng(seed)
+    for start in range(0, trials, per_stack):
+        m = _random_gram(rng, min(per_stack, trials - start), dim)
+        worst = _measured(_amplified(_unit_scaled(m), phi.n, t_rows), *worst)
         yield worst
 
 
-def _certified(m: np.ndarray, out: np.ndarray, tol: float) -> bool:
-    # Whether every output of the stack, out = (identity (x) phi)(m) for
-    # unscaled probes m, passes the exact test of its probe scaled to
-    # m / s, s = max(1, ||m||): a Cholesky of herm(out) + c I succeeding
-    # proves lambda_min(herm(out)) > -c up to Cholesky's backward error, and
-    # c = tol s_lo - gamma ||herm(out)||_F with s_lo = max(1, ||m||_F /
-    # sqrt(dim)) <= s leaves gamma to cover that error, eigvalsh's and the
-    # scaling's. The defect is held to tol s_lo (1 - gamma) <= tol s.
-    dim = out.shape[-1]
-    if not np.all(np.isfinite(out)):
-        return False
-    gamma = _CERT_ROUNDING * dim * (dim + 1)
-    herm, defects = _hermitian_split(out)
-    s_lo = np.maximum(1.0, np.linalg.norm(m, axis=(1, 2)) / np.sqrt(dim))
-    shift = tol * s_lo - gamma * np.linalg.norm(herm, axis=(1, 2))
-    if not (np.all(shift > 0.0) and np.all(defects <= tol * s_lo * (1.0 - gamma))):
-        return False
-    diagonal = np.arange(dim)
-    herm[:, diagonal, diagonal] += shift[:, None]
-    try:
-        np.linalg.cholesky(herm)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _cp_probes_pass(n: int, t_rows: np.ndarray, trials: int, rep: FactorRep, seed: int,
-                    tol: float) -> bool:
-    # check_cp's verdict on the probes of extension_positivity_check, t_rows
-    # the transposed transfer matrix of the map: each stack is certified
-    # from its unscaled outputs, or, where the certificate cannot decide,
-    # measured as that check measures it. The first failing stack ends the
-    # pass: the verdict cannot change after it.
-    for m, drawn in _probe_stacks(n, trials, rep, seed):
-        out = _amplified(m, n, t_rows)
-        if _certified(m, out, tol):
-            continue
-        if drawn:
-            out = _amplified(_unit_scaled(m), n, t_rows)
-        # the worst defect starts at tol: an output needs its SVD only when
-        # its bound exceeds tol
-        if not _within(*_measured(out, np.inf, tol), tol):
-            return False
-    return True
-
-
-def _choi_certifies_probes(phi: PairSumMap, defect: float, choi_low: float, tol: float) -> bool:
-    # Whether every probe of the pass, E included, passes the measured test,
-    # read off the computed Choi matrix's defect max |choi - choi*| and the
-    # lowest eigenvalue choi_low of its Hermitian part.
+def _extension_verdict(phi: PairSumMap, rep: FactorRep, t_rows: np.ndarray,
+                       choi_low: float, choi_defect: float, tol: float) -> bool:
+    # extension_positivity_check(phi, trials=0, tol=tol, rep=rep).positive,
+    # read off the lowest eigenvalue choi_low of the computed Choi matrix's
+    # Hermitian part and its defect max |choi - choi*| where they settle it,
+    # and measured on E otherwise.
     #
-    # Exactly: a psd probe X = sum_k vec(R_k) vec(R_k)* of ||X|| <= 1 has
-    # output (identity (x) phi)(X) = sum_k (R_k (x) 1) choi (R_k (x) 1)*, and
-    # sum_k R_k R_k* = tr_2 X has norm at most n. So lambda_min(herm(out)) >=
-    # -n max(0, -lambda_min(herm(choi))) and ||out - out*|| <= n ||choi -
-    # choi*|| <= n dim max |choi - choi*|; the relative defect is at most the
+    # Exactly: E's output (D^1/2 (x) 1) choi (D^1/2 (x) 1), D = diag(w), is a
+    # congruence of choi, so by Ostrowski each of its eigenvalues is theta
+    # lambda(choi) with theta in [w_min, w_max], and each entry of its defect
+    # is at most w_max max |choi - choi*|; the relative defect is at most the
     # absolute one.
     #
     # Computed: with beta = sum_i ||A_i||_F ||B_i||_F, ||choi||_F and
-    # ||transfer||_F are at most beta, and ||out|| at most n beta, so every
-    # rounding is a multiple of beta, with no assumption that the sums do not
-    # cancel. gamma = _CERT_ROUNDING (dim + k) (dim + 1) bounds each of:
+    # ||transfer||_F are at most beta, and so is ||out||_F, as ||E|| = 1.
+    # Every rounding is a multiple of beta, with no assumption that the sums
+    # do not cancel. gamma = 2 eps (dim + k) (dim + 1) bounds each of:
     # (a) the k-term sums of choi and its eigvalsh, which move choi_low and
-    # the defect by at most gamma beta; (b) the probe as stored (a rounded
-    # Gram product, scaled, not exactly psd) and its product with the rounded
-    # transfer matrix, which move out by at most gamma beta; (c) the
-    # Hermitian split and eigvalsh of out, at most gamma n beta. The lowest
-    # eigenvalue needs n (a) + (b) + (c), the defect 2 n (a) + 2 (b) + (c):
-    # both within the 4 n gamma beta allowed below, as n >= 2.
-    # A NaN or inf certifies nothing (no comparison below holds), and at
-    # tol = 0 no map with a nonzero term is certified. beta is taken only
-    # once the exact bounds leave room.
+    # the defect by at most gamma beta; (b) E as stored and its product with
+    # the rounded transfer matrix, which move out by at most gamma beta; (c)
+    # the Hermitian split and eigvalsh of out, at most gamma beta. Either
+    # side of the window needs w (a) + (b) + (c), and the defect 2 (a) + 2
+    # (b) + (c), all within the margin 4 n gamma beta. A NaN or inf settles
+    # nothing (no comparison below holds), and at tol = 0 only E's
+    # measurement passes a map with a nonzero term.
     dim = phi.n * phi.n
-    worst = np.max((0.0, -choi_low, dim * defect))
-    if not phi.n * worst <= tol:
-        return False
     norms = np.linalg.norm(phi.a, axis=(1, 2)) * np.linalg.norm(phi.b, axis=(1, 2))
-    margin = 4.0 * _CERT_ROUNDING * (dim + len(phi)) * (dim + 1) * np.sum(norms)
-    return bool(phi.n * (worst + margin) <= tol)
+    gamma = 2.0 * np.finfo(np.float64).eps * (dim + len(phi)) * (dim + 1)
+    margin = 4.0 * phi.n * gamma * np.sum(norms)
+    if rep.weights.max() * np.max((0.0, -choi_low, dim * choi_defect)) + margin <= tol:
+        return True
+    if rep.weights.min() * -choi_low - margin > tol:
+        return False
+    return _within(*_state_measured(phi, rep, t_rows), tol)
 
 
 def _within(low: float, defect: float, tol: float) -> bool:
@@ -452,16 +366,12 @@ def extension_positivity_check(
     probe. Raises ValueError when trials < 0 or tol is not a finite
     number >= 0.
 
-    E is evaluated first, then the random probes are drawn, multiplied and
-    diagonalized in stacks of up to 64 KB per copy. The seeded probe set
-    is drawn once per process: while it is the last set drawn to the end
-    and fits 2 MiB (up to n = 6 at 64 trials), a call with the same n,
-    trials and integer seed reuses it, read-only and bit for bit, as
-    check_cp does. Since
-    ||out|| >= ||(out + out*)/2|| = max |eigenvalue|, the eigenvalues
-    already give an upper bound on each probe's relative defect, and
-    ||out|| is computed only for probes whose bound exceeds the worst
-    defect so far.
+    E is evaluated first, then the random probes are drawn from the seed,
+    anew on every call, and multiplied and diagonalized in stacks of up to
+    64 KB per copy. Since ||out|| >= ||(out + out*)/2|| = max |eigenvalue|,
+    the eigenvalues already give an upper bound on each probe's relative
+    defect, and ||out|| is computed only for probes whose bound exceeds the
+    worst defect so far.
     """
     _check_tol(tol)
     _check_trials(trials)
@@ -502,32 +412,23 @@ def check_cp(
 ) -> CpReport:
     """Run all five CP characterizations and assert they agree.
 
-    (1) identity (x) phi preserves positivity on E and random psd inputs;
-    (2) the lifted pair-sum formula is positive on B(H) (same probes);
+    (1) identity (x) phi preserves positivity on the state projection E;
+    (2) the lifted pair-sum formula is positive on E;
     (3) Kraus extraction from the dual Choi operator succeeds and the
         Kraus map has the transfer matrix of phi;
     (4) the dual Choi operator is psd;
     (5) the Choi matrix is psd.
 
     In finite dimension the lifted formula of (2) applied to X is
-    (identity (x) phi)(X), so (1) and (2) share one verdict: the one
-    extension_positivity_check gives at tol on its probes, drawn alike.
-    The Choi spectrum of (5) is computed first, and it alone can prove
-    that verdict: each probe output is a congruence of the Choi matrix,
-    sum_k (R_k (x) 1) choi (R_k (x) 1)*, so its lowest eigenvalue is at
-    least n min(0, lambda_min(choi)), and its defect at most n^3 times
-    the Choi matrix's. When n max(-lambda_min(choi), n^2 max |choi - choi*|)
-    plus the rounding margin 8 n eps (n^2 + k)(n^2 + 1) sum_i |A_i|_F |B_i|_F
-    of k terms is at most tol, every probe passes and none is drawn,
-    multiplied or factored. Otherwise the probes run in one
-    pass: a stack whose outputs a Cholesky certificate proves positive
-    with room for rounding is not measured, any other stack is measured
-    exactly, and the pass ends at the first failing probe, since the rest
-    cannot change the verdict. extension_positivity_check itself still
-    measures and reports every probe. Both checks draw the seeded probe set
-    once per process and reuse it while it is the last set drawn to the
-    end and fits 2 MiB (up to n = 6 at 64 trials); a pass ended by a
-    failing probe, or not run, keeps nothing.
+    (identity (x) phi)(X), and at E it is (D^1/2 (x) 1) choi (D^1/2 (x) 1),
+    D = diag(weights): a congruence of the Choi matrix by an invertible
+    matrix, psd exactly when choi is (Sylvester). So (1) and (2) share E's
+    verdict, extension_positivity_check(phi, trials=0, tol=tol, rep=rep)
+    .positive. The Choi spectrum of (5), scaled by the weights and allowed
+    its rounding, settles it where it can; otherwise E's output is measured
+    once. No random probe is drawn: trials and seed are reported but no
+    longer drive the verdict, and extension_positivity_check runs the
+    random probes.
 
     Raises InternalDisagreement when the verdicts conflict, and ValueError
     when trials < 0 or tol is not a finite number >= 0.
@@ -537,12 +438,11 @@ def check_cp(
     rep = _resolve_rep(phi, rep)
     t = transfer(phi)
     c = choi(phi)
-    # an overflowed Choi matrix has no spectrum, and the outputs of the probe
-    # pass, congruences of it, would be refused with the same error
+    # an overflowed Choi matrix has no spectrum, and E's output, a congruence
+    # of it, would be refused with the same error
     _require_finite("diagonalize", c)
     choi_ok, choi_low, choi_defect = _psd_split(c, tol)
-    ext_ok = (_choi_certifies_probes(phi, choi_defect, choi_low, tol)
-              or _cp_probes_pass(phi.n, t.T, trials, rep, seed, tol))
+    ext_ok = _extension_verdict(phi, rep, t.T, choi_low, choi_defect, tol)
 
     # one Hermitian split of the dual Choi operator serves (3) and (4)
     split = hermitian_part(dual_choi(phi, rep), tol)

@@ -347,6 +347,21 @@ def test_cli_positive_decides_a_hermiticity_defect_within_tol(tmp_path):
     assert json.loads(out)["method"] == "seesaw"
 
 
+def test_cli_cp_at_tol_0_passes_the_trace_onto_e00(tmp_path):
+    # C -> Tr(C) e_00 at n = 4 (A_i = e_0i, B_i = e_i0) is CP, and the exact
+    # zeros of its outputs must not make the checks disagree at --tol 0
+    from choifactor import PairSumMap
+    from choifactor.linalg import matrix_units
+
+    units = matrix_units(4).reshape(4, 4, 4, 4)
+    phi = PairSumMap(4, np.stack((units[0], units[:, 0]), axis=1))
+    path = tmp_path / "trace_e00.json"
+    path.write_text(dumps(map_doc(phi, make_factor(4))), encoding="utf-8")
+    code, out, err = run_cli(["cp", str(path), "--tol", "0", "--assert"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["cp"] is True
+
+
 def test_cli_positive_oracle_flag():
     code, out, _ = run_cli(
         ["positive", str(DATA / "trace_minus_id.json"), "--oracle", "--resolution", "60"]

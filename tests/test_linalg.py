@@ -230,6 +230,32 @@ def _hermitian_eig_reference(m, tol=1e-10):
     return w, v
 
 
+def test_canonicalize_above_builds_only_the_kept_clusters(monkeypatch):
+    # only the kept clusters of more than one column reach Gram-Schmidt, the
+    # kept columns carry the bits of canonicalizing the whole spectrum, and
+    # the dropped ones are left as they are
+    rng = np.random.default_rng(53)
+    w = np.array([3.0, 3.0, 2.0, 1.0, 1.0, 1.0, 0.5, 0.0, 0.0, -1.0, -1.0])
+    q, _ = np.linalg.qr(cgauss(rng, len(w), len(w)))
+    full = q.copy()
+    _canonicalize(w, full, 3.0)
+    stops = []
+    orthonormalize = linalg._gram_schmidt
+
+    def recording(vectors, floors, stop=None):
+        stops.append(stop)
+        return orthonormalize(vectors, floors, stop)
+
+    monkeypatch.setattr(linalg, "_gram_schmidt", recording)
+    for above, kept, runs in ((0.75, 6, [2, 3]), (2.5, 2, [2]), (5.0, 0, []), (-2.0, 11, [2, 3, 2, 2])):
+        stops.clear()
+        v = q.copy()
+        _canonicalize(w, v, 3.0, above=above)
+        assert stops == runs
+        assert np.array_equal(v[:, :kept], full[:, :kept])
+        assert np.array_equal(v[:, kept:], q[:, kept:])
+
+
 def test_hermitian_eig_degenerate_clusters_match_the_opnorm_scale():
     rng = np.random.default_rng(47)
     for spectrum in ([5.0] * 3 + [-3.0] * 2 + [2.0], [30.0] * 4 + [0.0] * 12, [-7.0] * 8 + [7.0]):

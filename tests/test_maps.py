@@ -1,6 +1,3 @@
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -365,12 +362,6 @@ def _band_map(n, t):
     return map_sum(identity_map(n), map_scale(transpose_map(n), t))
 
 
-def _uncertified_cp_map(n, t=7e-10):
-    # the band at t in (tol/n, tol) for the default tol 1e-9: CP within tol,
-    # but its Choi margin -t is below -tol/n, so check_cp runs its probe pass
-    return _band_map(n, t)
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_extension_check_matches_lifted_reference(n, weighted):
@@ -608,153 +599,133 @@ def test_probe_pass_yields_the_report_of_each_prefix(n, trials):
 
 @pytest.fixture
 def draws(monkeypatch):
-    # the counts of the random probes drawn during the test, which starts
-    # with no probe set held; the set it leaves held is dropped after it
-    monkeypatch.setattr(maps, "_held_probes", None)
+    # the counts of the random probes drawn during the test
     calls = []
     draw = maps._random_gram
 
-    def counting(rng, count, dim, out=None):
+    def counting(rng, count, dim):
         calls.append(count)
-        return draw(rng, count, dim, out)
+        return draw(rng, count, dim)
 
     monkeypatch.setattr(maps, "_random_gram", counting)
     return calls
 
 
+@pytest.fixture
+def measured(monkeypatch):
+    # the sizes of the output stacks measured during the test
+    calls = []
+    measure = maps._measured
+
+    def counting(out, worst_low, worst_defect):
+        calls.append(len(out))
+        return measure(out, worst_low, worst_defect)
+
+    monkeypatch.setattr(maps, "_measured", counting)
+    return calls
+
+
 def test_check_cp_on_the_transpose_draws_no_random_probe(draws):
     assert not check_cp(transpose_map(8)).cp
+    assert check_cp(_band_map(4, 7e-10)).cp
     assert draws == []
-    # the counter sees the draws of a pass that runs to the end
-    assert check_cp(_uncertified_cp_map(4)).cp
+    # the counter sees the draws of extension_positivity_check
+    extension_positivity_check(_band_map(4, 7e-10))
     assert sum(draws) == 64
 
 
-def test_a_second_pass_with_the_same_key_reuses_the_held_probes(draws, monkeypatch):
-    rng = np.random.default_rng(141)
-    rep = make_factor(4, rng.uniform(0.2, 1.0, 4))
-    phi, other = random_cp_map(rng, 4, 3), random_hp_map(rng, 4, 2)
-    first = check_cp(phi, rep=rep)
-    ext = extension_positivity_check(other, rep=rep)
-    assert sum(draws) == 64
+def _trace_e00(n):
+    # C -> Tr(C) e_00 (A_i = e_0i, B_i = e_i0): completely positive, with a
+    # diagonal Choi matrix whose zero eigenvalues are exact
+    units = matrix_units(n).reshape(n, n, n, n)
+    return PairSumMap(n, np.stack((units[0], units[:, 0]), axis=1))
 
-    def no_generator(seed):
-        raise AssertionError("a held probe set needs no Generator")
+
+def _sweep_and_band_maps(rng):
+    # one map of each cp_sweep family at each of its sizes (n, k), then the
+    # near-boundary band at n in {2, 3}, t log-spaced across (tol/n, n tol)
+    families = (lambda n, k: random_cp_map(rng, n, k), lambda n, k: _transpose_type(rng, n),
+                lambda n, k: _reduction_type(rng, n, k), lambda n, k: random_hp_map(rng, n, k))
+    sizes = ((4, 1), (4, 4), (4, 16), (6, 1), (6, 6), (6, 36), (8, 1), (8, 8))
+    maps_ = [family(n, k) for n, k in sizes for family in families]
+    return maps_ + [_band_map(n, t) for n in (2, 3) for t in np.geomspace(1e-9 / n, n * 1e-9, 12)]
+
+
+def test_check_cp_draws_no_random_probe_on_the_cp_sweep_families_and_the_band(monkeypatch):
+    rng = np.random.default_rng(150)
+    cases = []
+    for phi in _sweep_and_band_maps(rng):
+        cases += [(phi, make_factor(phi.n)), (phi, make_factor(phi.n, rng.uniform(0.2, 1.0, phi.n)))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_cp drew a random probe")
 
     with monkeypatch.context() as patch:
-        patch.setattr(np.random, "default_rng", no_generator)
-        assert check_cp(phi, rep=rep) == first
-        assert extension_positivity_check(other, rep=rep) == ext
-    assert sum(draws) == 64
-    # and the held probes carry the bits of a fresh draw
-    monkeypatch.setattr(maps, "_held_probes", None)
-    assert extension_positivity_check(other, rep=rep) == ext
-    assert sum(draws) == 128
+        patch.setattr(np.random, "default_rng", refuse)
+        patch.setattr(maps, "_random_gram", refuse)
+        reports = [_cp_report(phi, rep) for phi, rep in cases]
+    for (phi, rep), report in zip(cases, reports):
+        assert report.extension_positive == extension_positivity_check(phi, trials=0, rep=rep).positive
+        assert (report.trials, report.seed) == (64, 42)
 
 
 def test_another_key_draws_its_probes_again(draws):
-    phi = _uncertified_cp_map(3)
-    keys = [(64, 42), (64, 42), (64, 7), (10, 7), (10, 7), (64, 42)]
-    totals = []
+    # extension_positivity_check draws its seeded probes anew on every call,
+    # at another key as at the same one, with the same bits at the same key
+    phi = _band_map(3, 7e-10)
+    keys = [(64, 42), (64, 42), (64, 7), (10, 7), (10, 7), (0, 7)]
+    reports, totals = [], []
     for trials, seed in keys:
-        check_cp(phi, trials=trials, seed=seed)
+        reports.append(extension_positivity_check(phi, trials=trials, seed=seed))
         totals.append(sum(draws))
-    assert totals == [64, 64, 128, 138, 138, 202]
+    assert totals == [64, 128, 192, 202, 212, 212]
+    assert reports[0] == reports[1] and reports[3] == reports[4]
     # the same trials and seed at another n
-    check_cp(_uncertified_cp_map(2))
-    assert sum(draws) == 266
+    extension_positivity_check(_band_map(2, 7e-10))
+    assert sum(draws) == 276
 
 
-def test_a_pass_that_stops_early_leaves_the_held_probes(draws):
-    check_cp(_uncertified_cp_map(4))
-    held = maps._held_probes
-    assert held[0] == (16, 64, 42)
-    # C -> Tr(C) e_00: E's output is diagonal, with exact zero eigenvalues, and
-    # at tol 0 the rounding of the zero eigenvalues of the first random stack
-    # ends the pass after 16 of the 64 probes, held (seed 42) or drawn (43)
-    units = matrix_units(4).reshape(4, 4, 4, 4)
-    phi = PairSumMap(4, np.stack((units[0], units[:, 0]), axis=1))
-    for seed, drawn in ((42, []), (43, [16])):
-        draws.clear()
-        assert not _cp_report(phi, make_factor(4), tol=0.0, seed=seed).extension_positive
-        assert draws == drawn
-        assert maps._held_probes is held
-    # a pass closed after its first random stack publishes nothing either
-    stacks = maps._probe_stacks(4, 64, make_factor(4), 43)
-    next(stacks), next(stacks)
-    stacks.close()
-    assert maps._held_probes is held
-
-
-def test_threads_sharing_the_held_probes_get_the_reports_of_one_thread(draws):
-    # calls at three keys interleave, so sets are published while other
-    # threads read the one held before
-    phis = [_uncertified_cp_map(n, t) for n, t in ((2, 7e-10), (3, 6e-10), (4, 7e-10), (3, 8e-10))]
-    want = [check_cp(phi) for phi in phis]
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            futures = [pool.submit(check_cp, phis[i % 4]) for i in range(48)]
-            got = [future.result(timeout=60) for future in futures]
-    finally:
-        sys.setswitchinterval(switch)
-    assert got == [want[i % 4] for i in range(48)]
-
-
-def test_the_held_probes_are_read_only_and_kept_up_to_n_6(draws):
-    check_cp(_uncertified_cp_map(6))
-    key, probes = maps._held_probes
-    assert key == (36, 64, 42) and probes.shape == (64, 36, 36)
-    assert probes.nbytes <= maps._PROBE_CACHE_BYTES
-    assert not probes.flags.writeable
-    with pytest.raises(ValueError):
-        probes[0, 0, 0] = 0.0
-    # the 4 MiB set at n = 8 is never held, and leaves the held set as it was
-    assert check_cp(_uncertified_cp_map(8)).cp
-    assert maps._held_probes[1] is probes
-    maps._held_probes = None
-    assert check_cp(_uncertified_cp_map(8)).cp
-    assert maps._held_probes is None
+def _weightings(rng, n, weighted):
+    # uniform weights, or random weights and weights with w_min = 1e-6
+    if not weighted:
+        return [make_factor(n)]
+    return [make_factor(n, rng.uniform(0.2, 1.0, n)),
+            make_factor(n, np.r_[1e-6, np.full(n - 1, (1.0 - 1e-6) / (n - 1))])]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_certified_probe_verdicts_match_the_exact_pass_across_the_band(n, weighted):
-    # check_cp certifies each probe stack by a Cholesky with a rounding margin
-    # and measures the stacks it cannot certify as extension_positivity_check
-    # does. The band identity + t * transpose, t across (tol/n, n tol), puts
-    # E's lowest output eigenvalue -t/n (uniform weights) in (-tol, -tol/n^2);
-    # scaled by 1e6 and 1e7, ||out|| eps approaches and passes tol, so the
-    # margin, not the shift, decides whether the certificate may answer, and
-    # the exact path's own rounding decides its verdict
+    # check_cp settles E's verdict from the Choi spectrum through the weights
+    # window, or measures E where the window cannot settle it; either way it
+    # is the verdict extension_positivity_check gives on E alone. The band
+    # identity + t * transpose, t across (tol/n 1e-3, n tol 1e6), puts E's
+    # lowest output eigenvalue -theta t, theta in [w_min, w_max], inside,
+    # across and far outside the window; scaled by 1e6 and 1e7, ||out|| eps
+    # approaches and passes tol, so the margin, not the eigenvalue, decides
+    # whether the window may answer, and the measurement's own rounding
+    # decides its verdict
     rng = np.random.default_rng(130 + n)
-    rep = make_factor(n, rng.uniform(0.2, 1.0, n)) if weighted else make_factor(n)
-    trials = 8
-    for scale in (1.0, 1e6, 1e7):
-        for t in np.geomspace(1e-9 / n, n * 1e-9, 6):
-            phi = map_scale(_band_map(n, t / scale), scale)
-            report = _cp_report(phi, rep, trials=trials, seed=5)
-            ext = extension_positivity_check(phi, trials=trials, rep=rep, seed=5)
-            assert report.extension_positive == ext.positive, (scale, t)
+    for rep in _weightings(rng, n, weighted):
+        for scale in (1.0, 1e6, 1e7):
+            for t in np.geomspace(1e-12 / n, n * 1e-3, 14):
+                phi = map_scale(_band_map(n, t / scale), scale)
+                report = _cp_report(phi, rep)
+                ext = extension_positivity_check(phi, trials=0, rep=rep)
+                assert report.extension_positive == ext.positive, (scale, t)
+                assert report.amplification_positive == ext.positive, (scale, t)
 
 
-def test_check_cp_measures_only_the_probes_it_cannot_certify(monkeypatch):
-    measured = []
-    measure = maps._measured
-
-    def counting(out, worst_low, worst_defect):
-        measured.append(len(out))
-        return measure(out, worst_low, worst_defect)
-
-    monkeypatch.setattr(maps, "_measured", counting)
+def test_check_cp_measures_only_the_probes_it_cannot_certify(measured):
+    # the one probe check_cp ever measures is E, once, where the Choi
+    # spectrum's window cannot settle it
     rng = np.random.default_rng(140)
-    for phi in (identity_map(4), random_cp_map(rng, 4, 3), random_cp_map(rng, 8, 2)):
+    for phi in (identity_map(4), random_cp_map(rng, 4, 3), _normalized_kraus_map(rng, 8, 2)):
         assert check_cp(phi).cp
     assert measured == []
-    # at 1e6 the rounding margin exceeds tol on every probe: all 65 are measured
+    # at 1e6 the rounding margin exceeds tol
     assert check_cp(map_scale(identity_map(4), 1e6)).cp
-    assert sum(measured) == 65
+    assert measured == [1]
 
 
 def _normalized_kraus_map(rng, n, k):
@@ -762,22 +733,32 @@ def _normalized_kraus_map(rng, n, k):
     return map_scale(random_cp_map(rng, n, k), 1.0 / (k * n))
 
 
-def _certifies(phi, tol):
-    _, low, defect = linalg._psd_split(choi(phi), tol)
-    return maps._choi_certifies_probes(phi, defect, low, tol)
+class _Unsettled(Exception):
+    pass
+
+
+def _settled(phi, tol, rep=None, low=None, defect=None):
+    # the verdict the Choi spectrum's window gives on E, or None where E
+    # would have to be measured; low and defect replace the computed ones
+    rep = make_factor(phi.n) if rep is None else rep
+    _, choi_low, choi_defect = linalg._psd_split(choi(phi), tol)
+    low = choi_low if low is None else low
+    defect = choi_defect if defect is None else defect
+
+    def unsettled(*args):
+        raise _Unsettled
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maps, "_state_measured", unsettled)
+        try:
+            return maps._extension_verdict(phi, rep, transfer(phi).T, low, defect, tol)
+        except _Unsettled:
+            return None
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 @pytest.mark.parametrize("weighted", [False, True])
-def test_a_cp_map_with_room_to_spare_draws_and_measures_no_probe(n, weighted, draws, monkeypatch):
-    measured = []
-    measure = maps._measured
-
-    def counting(out, worst_low, worst_defect):
-        measured.append(len(out))
-        return measure(out, worst_low, worst_defect)
-
-    monkeypatch.setattr(maps, "_measured", counting)
+def test_a_cp_map_with_room_to_spare_draws_and_measures_no_probe(n, weighted, draws, measured):
     rng = np.random.default_rng(160 + n)
     rep = make_factor(n, rng.uniform(0.2, 1.0, n)) if weighted else make_factor(n)
     for k in (1, n, n * n) if n < 8 else (1, n):
@@ -785,12 +766,9 @@ def test_a_cp_map_with_room_to_spare_draws_and_measures_no_probe(n, weighted, dr
         report = check_cp(phi, rep=rep)
         assert report.cp
         assert draws == [] and measured == []
-        # the report of the full probe pass, bit for bit, on probes drawn anew
-        with monkeypatch.context() as patch:
-            patch.setattr(maps, "_choi_certifies_probes", lambda *args: False)
-            patch.setattr(maps, "_held_probes", None)
-            assert check_cp(phi, rep=rep) == report
-        assert sum(draws) == 64
+        # E's measurement, and every seeded probe, agree
+        assert extension_positivity_check(phi, trials=0, rep=rep).positive
+        assert extension_positivity_check(phi, rep=rep).positive
         draws.clear()
         measured.clear()
 
@@ -798,28 +776,46 @@ def test_a_cp_map_with_room_to_spare_draws_and_measures_no_probe(n, weighted, dr
 def test_the_choi_certificate_needs_room_a_finite_margin_and_tol_above_0():
     rng = np.random.default_rng(166)
     phi = _normalized_kraus_map(rng, 4, 4)
-    assert _certifies(phi, 1e-9)
-    assert not _certifies(phi, 0.0)
-    assert not _certifies(map_scale(identity_map(3), 1e-3), 0.0)
+    assert _settled(phi, 1e-9) is True
+    assert _settled(phi, 0.0) is None
+    assert _settled(map_scale(identity_map(3), 1e-3), 0.0) is None
     # C -> Tr(C) e_00 has a diagonal Choi matrix, psd and Hermitian to the
-    # last bit, yet its probe outputs round: the margin alone refuses it
-    units = matrix_units(4).reshape(4, 4, 4, 4)
-    trace_e00 = PairSumMap(4, np.stack((units[0], units[:, 0]), axis=1))
+    # last bit, yet E's output may round: the margin alone leaves it to the
+    # measurement
+    trace_e00 = _trace_e00(4)
     assert linalg._psd_split(choi(trace_e00), 0.0)[1:] == (0.0, 0.0)
-    assert not _certifies(trace_e00, 0.0)
-    assert _certifies(PairSumMap(3, ()), 0.0)
+    assert _settled(trace_e00, 0.0) is None
+    assert _settled(PairSumMap(3, ()), 0.0) is True
     # a NaN or inf spectrum or defect, and Frobenius norms that overflow
     # while the Choi matrix stays finite
-    for defect, low in ((np.inf, 0.0), (np.nan, 0.0), (0.0, np.nan), (0.0, -np.inf)):
-        assert not maps._choi_certifies_probes(phi, defect, low, 1e-9)
+    for defect, low in ((np.inf, 0.0), (np.nan, 0.0), (0.0, np.nan)):
+        assert _settled(phi, 1e-9, low=low, defect=defect) is None
+    assert _settled(phi, 1e-9, low=-np.inf, defect=0.0) is False
     big = PairSumMap(2, ((np.diag([1e200, 1.0]), np.diag([1e-200, 1.0])),))
     with np.errstate(over="ignore"):
         assert np.all(np.isfinite(choi(big)))
-        assert not _certifies(big, 1e-9)
-    # the band's Choi margin -t is below -tol/n across (tol/n, n tol)
+        assert _settled(big, 1e-9) is None
+    # at uniform weights E's lowest eigenvalue is -t/n on the band: passed
+    # below n tol, failed above it, and measured where the margin straddles it
     for n in (2, 3, 4):
-        for t in np.geomspace(1.01e-9 / n, n * 1e-9, 7):
-            assert not _certifies(_band_map(n, t), 1e-9)
+        for t in np.geomspace(1.01e-9 / n, 0.95 * n * 1e-9, 7):
+            assert _settled(_band_map(n, t), 1e-9) is True
+        assert _settled(_band_map(n, 1.05 * n * 1e-9), 1e-9) is False
+        assert _settled(_band_map(n, n * 1e-9), 1e-9) is None
+    # at w_min = 1e-6 only the pass side stays close to tol
+    rep = _weightings(rng, 3, True)[1]
+    assert _settled(_band_map(3, 1.01 * 3 * 1e-9), 1e-9, rep) is None
+    assert _settled(_band_map(3, 2e-3), 1e-9, rep) is False
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-17, 1e-9])
+def test_check_cp_passes_the_trace_onto_e00_at_any_tol(tol):
+    # E's output is diagonal with exact zero eigenvalues; random probes
+    # round those zeros to about -1e-17, below -tol at tol 0
+    phi = _trace_e00(4)
+    report = check_cp(phi, tol=tol)
+    assert report.cp and report.extension_positive and report.kraus_exists
+    assert extension_positivity_check(phi, trials=0, tol=tol).positive
 
 
 @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
@@ -938,16 +934,18 @@ def _orthogonal_element(rng, rep, coefficients):
 
 
 def test_canonicalize_and_spectral_decompose_cut_the_reference_runs(monkeypatch):
-    cut = linalg._cluster_runs
+    # both cut their spectra through linalg._cluster_starts, spectral_decompose
+    # by way of _cluster_runs
+    cut = linalg._cluster_starts
     calls = []
 
     def recording(values, gap):
-        runs = cut(values, gap)
+        starts = cut(values, gap)
+        runs = np.split(np.arange(len(values)), starts[1:]) if len(starts) else []
         calls.append((values.copy(), gap, runs))
-        return runs
+        return starts
 
-    monkeypatch.setattr(linalg, "_cluster_runs", recording)
-    monkeypatch.setattr(projection_algebra, "_cluster_runs", recording)
+    monkeypatch.setattr(linalg, "_cluster_starts", recording)
     rng = np.random.default_rng(149)
     # at scale 1, neighbours just inside and just outside the canonicalization's
     # width 1e-12 and the spectral width 1e-8

@@ -1,8 +1,9 @@
 """Property tests: the operators of a pair-sum depend on the sum, not on
 how its terms are presented, the element calculus matches dense
 matrices, Kraus operators rebuild a completely positive map, the CP
-verdict does not see a unitary change of basis on either side, and a map
-whose Choi margin certifies check_cp's probe pass passes every probe.
+verdict does not see a unitary change of basis on either side, check_cp's
+extension verdict is the one E alone gives, and a map whose Choi margin
+bounds every probe output passes every probe.
 
 Examples are drawn by hypothesis with a fixed seed (derandomize=True), at
 n <= 4 and at most a few terms, so the suite runs the same cases every
@@ -37,7 +38,6 @@ from choifactor import (
     transpose_map,
 )
 from choifactor.linalg import _psd_split
-from choifactor.maps import _choi_certifies_probes
 
 RTOL = 1e-12
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=25, database=None)
@@ -182,13 +182,16 @@ def test_cp_verdict_ignores_a_unitary_change_of_basis(case, kraus, seed):
 
 
 @st.composite
-def certificate_cases(draw):
+def certificate_cases(draw, generic=False):
     """(phi, rep, tol, trials, seed): a Kraus map from pair_sums or the band
     identity + t * transpose, t log-uniform in (1e-13, n tol), times a
-    log-uniform scale in [1e-3, 1e3], at uniform or random weights."""
+    log-uniform scale in [1e-3, 1e3], at uniform or random weights; with
+    generic, also the pairs of pair_sums as they are drawn."""
     n, pairs, weighted_rep, _ = draw(pair_sums())
     tol = draw(st.sampled_from((1e-12, 1e-9, 1e-7)))
-    if draw(st.booleans()):
+    if generic and draw(st.booleans()):
+        phi = PairSumMap(n, pairs)
+    elif draw(st.booleans()):
         phi = PairSumMap(n, _kraus_pairs(pairs))
     else:
         t = 10.0 ** draw(st.floats(-13.0, float(np.log10(n * tol))))
@@ -198,13 +201,38 @@ def certificate_cases(draw):
     return phi, rep, tol, draw(st.integers(0, 16)), draw(st.integers(0, 2**32 - 1))
 
 
+def _choi_certifies_probes(phi, tol):
+    # Whether n max(0, -lambda_min(choi), n^2 max |choi - choi*|) plus the
+    # rounding margin 8 n eps (n^2 + k)(n^2 + 1) sum_i |A_i|_F |B_i|_F of k
+    # terms is within tol. A psd probe X of norm at most 1 has the output
+    # sum_k (R_k (x) 1) choi (R_k (x) 1)* with |sum_k R_k R_k*| = |tr_2 X| <= n,
+    # so then every probe, E included, passes.
+    _, low, defect = _psd_split(choi(phi), tol)
+    dim = phi.n * phi.n
+    norms = np.linalg.norm(phi.a, axis=(1, 2)) * np.linalg.norm(phi.b, axis=(1, 2))
+    margin = 8.0 * np.finfo(np.float64).eps * (dim + len(phi)) * (dim + 1) * np.sum(norms)
+    return bool(phi.n * (np.max((0.0, -low, dim * defect)) + margin) <= tol)
+
+
 @settings(PROPERTY_SETTINGS, max_examples=100)
 @given(certificate_cases())
 def test_a_choi_certified_probe_pass_is_positive_on_every_probe(case):
     phi, rep, tol, trials, seed = case
-    _, low, defect = _psd_split(choi(phi), tol)
-    certified = _choi_certifies_probes(phi, defect, low, tol)
+    certified = _choi_certifies_probes(phi, tol)
     event(f"certified: {certified}")
     if certified:
         report = extension_positivity_check(phi, trials=trials, tol=tol, rep=rep, seed=seed)
         assert report.positive, (report.min_eigenvalue, report.hermiticity_defect)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(certificate_cases(generic=True))
+def test_check_cp_takes_the_extension_verdict_of_e_alone(case):
+    phi, rep, tol, trials, seed = case
+    try:
+        report = check_cp(phi, tol=tol, rep=rep, trials=trials, seed=seed)
+    except InternalDisagreement as exc:
+        report = exc.report
+    ext = extension_positivity_check(phi, trials=0, tol=tol, rep=rep)
+    event(f"extension positive: {ext.positive}")
+    assert report.extension_positive == report.amplification_positive == ext.positive
