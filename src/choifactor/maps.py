@@ -304,16 +304,20 @@ def _extension_probes(
 
 def _extension_verdict(phi: PairSumMap, rep: FactorRep, t_rows: np.ndarray,
                        choi_low: float, choi_defect: float, tol: float) -> bool:
-    # extension_positivity_check(phi, trials=0, tol=tol, rep=rep).positive,
-    # read off the lowest eigenvalue choi_low of the computed Choi matrix's
-    # Hermitian part and its defect max |choi - choi*| where they settle it,
-    # and measured on E otherwise.
+    # extension_positivity_check(phi, trials=0, tol=tol, rep=r).positive at
+    # r = rep and, at weights other than the tracial ones, also at the
+    # tracial r, read off the lowest eigenvalue choi_low of the computed
+    # Choi matrix's Hermitian part and its defect max |choi - choi*| where
+    # they settle it, and measured on each E otherwise.
     #
     # Exactly: E's output (D^1/2 (x) 1) choi (D^1/2 (x) 1), D = diag(w), is a
     # congruence of choi, so by Ostrowski each of its eigenvalues is theta
     # lambda(choi) with theta in [w_min, w_max], and each entry of its defect
-    # is at most w_max max |choi - choi*|; the relative defect is at most the
-    # absolute one.
+    # is sqrt(w_i w_j) times one of choi's, at most w_max max |choi - choi*|;
+    # the relative defect is at most the absolute one. A small w_min could
+    # hide a negative Choi eigenvalue far beyond tol; the tracial E, whose
+    # output is choi / n, cannot. As w_min <= 1/n <= w_max, both pass when
+    # the w_max bound does, and one fails when the 1/n bound does.
     #
     # Computed: with beta = sum_i ||A_i||_F ||B_i||_F, ||choi||_F and
     # ||transfer||_F are at most beta, and so is ||out||_F, as ||E|| = 1.
@@ -323,19 +327,21 @@ def _extension_verdict(phi: PairSumMap, rep: FactorRep, t_rows: np.ndarray,
     # the defect by at most gamma beta; (b) E as stored and its product with
     # the rounded transfer matrix, which move out by at most gamma beta; (c)
     # the Hermitian split and eigvalsh of out, at most gamma beta. Either
-    # side of the window needs w (a) + (b) + (c), and the defect 2 (a) + 2
-    # (b) + (c), all within the margin 4 n gamma beta. A NaN or inf settles
-    # nothing (no comparison below holds), and at tol = 0 only E's
-    # measurement passes a map with a nonzero term.
+    # side needs w (a) + (b) + (c), and the defect 2 (a) + 2 (b) + (c), all
+    # within the margin 4 n gamma beta. A NaN or inf settles nothing (no
+    # comparison below holds), and at tol = 0 only the measurement passes a
+    # map with a nonzero term.
     dim = phi.n * phi.n
     norms = np.linalg.norm(phi.a, axis=(1, 2)) * np.linalg.norm(phi.b, axis=(1, 2))
     gamma = 2.0 * np.finfo(np.float64).eps * (dim + len(phi)) * (dim + 1)
     margin = 4.0 * phi.n * gamma * np.sum(norms)
-    if rep.weights.max() * np.max((0.0, -choi_low, dim * choi_defect)) + margin <= tol:
+    if rep.weights.max() * np.max((0.0, -choi_low, choi_defect)) + margin <= tol:
         return True
-    if rep.weights.min() * -choi_low - margin > tol:
+    if (1.0 / phi.n) * -choi_low - margin > tol:
         return False
-    return _within(*_state_measured(phi, rep, t_rows), tol)
+    tracial = make_factor(phi.n)
+    reps = (rep,) if np.array_equal(rep.weights, tracial.weights) else (rep, tracial)
+    return all(_within(*_state_measured(phi, r, t_rows), tol) for r in reps)
 
 
 def _within(low: float, defect: float, tol: float) -> bool:
@@ -422,13 +428,22 @@ def check_cp(
     In finite dimension the lifted formula of (2) applied to X is
     (identity (x) phi)(X), and at E it is (D^1/2 (x) 1) choi (D^1/2 (x) 1),
     D = diag(weights): a congruence of the Choi matrix by an invertible
-    matrix, psd exactly when choi is (Sylvester). So (1) and (2) share E's
-    verdict, extension_positivity_check(phi, trials=0, tol=tol, rep=rep)
-    .positive. The Choi spectrum of (5), scaled by the weights and allowed
-    its rounding, settles it where it can; otherwise E's output is measured
-    once. No random probe is drawn: trials and seed are reported but no
-    longer drive the verdict, and extension_positivity_check runs the
-    random probes.
+    matrix, psd exactly when choi is (Sylvester). So (1) and (2) share one
+    verdict, E's. The congruence scales each Choi eigenvalue by a factor
+    in [w_min, w_max], so at weights other than the tracial ones the
+    tracial state's projection, whose output is choi / n, is judged as
+    well, and a small weight cannot hide a negative Choi eigenvalue. The
+    verdict is that of extension_positivity_check with trials=0 at rep,
+    and also at make_factor(n) when the weights differ from it.
+
+    The Choi spectrum of (5), scaled by the weights and allowed its
+    rounding, settles that verdict where it can, and E's output is
+    measured through the transfer matrix only where it cannot. So (1) and
+    (2) are computed apart from (5) only where E is measured: a map with
+    room to spare on either side of tol gets their verdict from the same
+    eigenvalues as (5). No random probe is drawn: trials and seed are
+    reported but no longer drive the verdict; extension_positivity_check
+    runs the random probes.
 
     Raises InternalDisagreement when the verdicts conflict, and ValueError
     when trials < 0 or tol is not a finite number >= 0.

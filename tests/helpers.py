@@ -1,9 +1,9 @@
-"""Shared random generators for the test suite."""
+"""Shared random generators and reference verdicts for the test suite."""
 from __future__ import annotations
 
 import numpy as np
 
-from choifactor import PairSumMap
+from choifactor import PairSumMap, extension_positivity_check, make_factor
 
 
 def cgauss(rng, *shape):
@@ -39,6 +39,13 @@ def random_hp_map(rng, n, k):
     vs = [cgauss(rng, n, n) for _ in range(k)]
     ts = rng.standard_normal(k)
     return PairSumMap(n, tuple((t * v.conj().T, v) for t, v in zip(ts, vs)))
+
+
+def e_verdict(phi, rep, tol=1e-9):
+    # check_cp's amplification and extension verdict: E measured at rep,
+    # and at the tracial weights as well
+    return all(extension_positivity_check(phi, trials=0, tol=tol, rep=r).positive
+               for r in (rep, make_factor(phi.n)))
 
 
 def random_selfadjoint_terms(rng, n, k_pairs, with_diagonal=False):

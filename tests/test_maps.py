@@ -38,7 +38,7 @@ from choifactor import (
 from choifactor import linalg, maps, positivity, projection_algebra
 from choifactor.linalg import hermitian_eig, hermiticity_defect, matrix_units
 from choifactor.maps import _STACK_BYTES, _extension_probes, _random_gram, _unit_scaled
-from helpers import cgauss, matrix_unit, random_cp_map, random_hp_map, random_map
+from helpers import cgauss, e_verdict, matrix_unit, random_cp_map, random_hp_map, random_map
 
 TRACIAL2 = make_factor(2)
 SWAP = np.array(
@@ -665,7 +665,7 @@ def test_check_cp_draws_no_random_probe_on_the_cp_sweep_families_and_the_band(mo
         patch.setattr(maps, "_random_gram", refuse)
         reports = [_cp_report(phi, rep) for phi, rep in cases]
     for (phi, rep), report in zip(cases, reports):
-        assert report.extension_positive == extension_positivity_check(phi, trials=0, rep=rep).positive
+        assert report.extension_positive == e_verdict(phi, rep)
         assert (report.trials, report.seed) == (64, 42)
 
 
@@ -696,36 +696,38 @@ def _weightings(rng, n, weighted):
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_certified_probe_verdicts_match_the_exact_pass_across_the_band(n, weighted):
-    # check_cp settles E's verdict from the Choi spectrum through the weights
-    # window, or measures E where the window cannot settle it; either way it
-    # is the verdict extension_positivity_check gives on E alone. The band
-    # identity + t * transpose, t across (tol/n 1e-3, n tol 1e6), puts E's
-    # lowest output eigenvalue -theta t, theta in [w_min, w_max], inside,
-    # across and far outside the window; scaled by 1e6 and 1e7, ||out|| eps
-    # approaches and passes tol, so the margin, not the eigenvalue, decides
-    # whether the window may answer, and the measurement's own rounding
-    # decides its verdict
+    # check_cp's extension verdict is E's measured one, and at other than
+    # the tracial weights the tracial E's as well. The band identity + t *
+    # transpose, t across (tol/n 1e-3, n tol 1e6), puts E's lowest output
+    # eigenvalue -theta t, theta in [w_min, w_max], inside, across and far
+    # outside tol; scaled by 1e6 and 1e7, ||out|| eps approaches and passes
+    # tol, so the measurement's own rounding decides its verdict
     rng = np.random.default_rng(130 + n)
     for rep in _weightings(rng, n, weighted):
         for scale in (1.0, 1e6, 1e7):
             for t in np.geomspace(1e-12 / n, n * 1e-3, 14):
                 phi = map_scale(_band_map(n, t / scale), scale)
                 report = _cp_report(phi, rep)
-                ext = extension_positivity_check(phi, trials=0, rep=rep)
-                assert report.extension_positive == ext.positive, (scale, t)
-                assert report.amplification_positive == ext.positive, (scale, t)
+                assert report.extension_positive == e_verdict(phi, rep), (scale, t)
+                assert report.amplification_positive == report.extension_positive
 
 
 def test_check_cp_measures_only_the_probes_it_cannot_certify(measured):
     # the one probe check_cp ever measures is E, once, where the Choi
-    # spectrum's window cannot settle it
+    # spectrum's window cannot settle it, and after it the tracial E at
+    # other weights
     rng = np.random.default_rng(140)
+    weighted = make_factor(4, rng.uniform(0.2, 1.0, 4))
     for phi in (identity_map(4), random_cp_map(rng, 4, 3), _normalized_kraus_map(rng, 8, 2)):
         assert check_cp(phi).cp
+    assert check_cp(identity_map(4), rep=weighted).cp
+    assert not check_cp(transpose_map(4), rep=weighted).cp
     assert measured == []
     # at 1e6 the rounding margin exceeds tol
     assert check_cp(map_scale(identity_map(4), 1e6)).cp
     assert measured == [1]
+    assert check_cp(map_scale(identity_map(4), 1e6), rep=weighted).cp
+    assert measured == [1, 1, 1]
 
 
 def _normalized_kraus_map(rng, n, k):
@@ -786,6 +788,10 @@ def test_the_choi_certificate_needs_room_a_finite_margin_and_tol_above_0():
     assert linalg._psd_split(choi(trace_e00), 0.0)[1:] == (0.0, 0.0)
     assert _settled(trace_e00, 0.0) is None
     assert _settled(PairSumMap(3, ()), 0.0) is True
+    # each entry of E's defect is at most w_max times the Choi matrix's
+    tilted = map_scale(identity_map(4), 1 + 1e-9j)
+    assert _settled(tilted, 1e-9) is True
+    assert e_verdict(tilted, make_factor(4))
     # a NaN or inf spectrum or defect, and Frobenius norms that overflow
     # while the Choi matrix stays finite
     for defect, low in ((np.inf, 0.0), (np.nan, 0.0), (0.0, np.nan)):
@@ -802,10 +808,34 @@ def test_the_choi_certificate_needs_room_a_finite_margin_and_tol_above_0():
             assert _settled(_band_map(n, t), 1e-9) is True
         assert _settled(_band_map(n, 1.05 * n * 1e-9), 1e-9) is False
         assert _settled(_band_map(n, n * 1e-9), 1e-9) is None
-    # at w_min = 1e-6 only the pass side stays close to tol
+    # at w_min = 1e-6 the tracial E's -t/n settles the fail side where it
+    # does at uniform weights
     rep = _weightings(rng, 3, True)[1]
-    assert _settled(_band_map(3, 1.01 * 3 * 1e-9), 1e-9, rep) is None
-    assert _settled(_band_map(3, 2e-3), 1e-9, rep) is False
+    assert _settled(_band_map(3, 3 * 1e-9), 1e-9, rep) is None
+    for t in (1.01 * 3 * 1e-9, 2e-3):
+        assert _settled(_band_map(3, t), 1e-9, rep) is False
+    # and on the map that E alone would pass
+    assert _settled(_hidden_by_a_small_weight(1e-4), 1e-9, make_factor(2, [1e-6, 1 - 1e-6])) is False
+
+
+def _hidden_by_a_small_weight(s):
+    # (A, B) = (-s e_10, e_01): Choi matrix -s e_00 (x) e_11, whose one
+    # negative eigenvalue E's output scales by the weight w_0
+    return PairSumMap(2, ((-s * matrix_unit(2, 1, 0), matrix_unit(2, 0, 1)),))
+
+
+@pytest.mark.parametrize("s, weights", [(1e-4, [1e-6, 1.0 - 1e-6]), (5e-8, [0.01, 0.99]),
+                                        (1e-4, [0.01, 0.99])])
+def test_a_small_weight_hides_no_negative_choi_eigenvalue(s, weights):
+    # E's output has the eigenvalue -s w_0, within tol, but the map is not
+    # CP and all five checks say so; E alone would disagree with the others
+    phi, rep = _hidden_by_a_small_weight(s), make_factor(2, weights)
+    assert extension_positivity_check(phi, trials=0, rep=rep).min_eigenvalue == pytest.approx(
+        -s * weights[0])
+    report = check_cp(phi, rep=rep)
+    assert not report.cp
+    assert not (report.amplification_positive or report.extension_positive
+                or report.kraus_exists or report.dual_choi_psd or report.choi_psd)
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e-17, 1e-9])

@@ -2,8 +2,9 @@
 how its terms are presented, the element calculus matches dense
 matrices, Kraus operators rebuild a completely positive map, the CP
 verdict does not see a unitary change of basis on either side, check_cp's
-extension verdict is the one E alone gives, and a map whose Choi margin
-bounds every probe output passes every probe.
+extension verdict is E's measured one, which no small weight makes pass a
+map whose Choi matrix fails by far, and a map whose Choi margin bounds
+every probe output passes every probe.
 
 Examples are drawn by hypothesis with a fixed seed (derandomize=True), at
 n <= 4 and at most a few terms, so the suite runs the same cases every
@@ -38,6 +39,7 @@ from choifactor import (
     transpose_map,
 )
 from choifactor.linalg import _psd_split
+from helpers import e_verdict
 
 RTOL = 1e-12
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=25, database=None)
@@ -186,7 +188,8 @@ def certificate_cases(draw, generic=False):
     """(phi, rep, tol, trials, seed): a Kraus map from pair_sums or the band
     identity + t * transpose, t log-uniform in (1e-13, n tol), times a
     log-uniform scale in [1e-3, 1e3], at uniform or random weights; with
-    generic, also the pairs of pair_sums as they are drawn."""
+    generic, also the pairs of pair_sums as they are drawn, and weights
+    with one entry log-uniform in [1e-8, 1e-2]."""
     n, pairs, weighted_rep, _ = draw(pair_sums())
     tol = draw(st.sampled_from((1e-12, 1e-9, 1e-7)))
     if generic and draw(st.booleans()):
@@ -198,20 +201,28 @@ def certificate_cases(draw, generic=False):
         phi = map_sum(identity_map(n), map_scale(transpose_map(n), t))
     phi = map_scale(phi, 10.0 ** draw(st.floats(-3.0, 3.0)))
     rep = weighted_rep if draw(st.booleans()) else make_factor(n)
+    if generic and draw(st.booleans()):
+        small = 10.0 ** draw(st.floats(-8.0, -2.0))
+        rep = make_factor(n, np.r_[small, np.full(n - 1, (1.0 - small) / (n - 1))])
     return phi, rep, tol, draw(st.integers(0, 16)), draw(st.integers(0, 2**32 - 1))
+
+
+def _rounding_margin(phi):
+    # 8 eps (n^2 + k)(n^2 + 1) sum_i |A_i|_F |B_i|_F for k terms: room for the
+    # rounding of choi, of E's output and of their spectra
+    dim = phi.n * phi.n
+    norms = np.linalg.norm(phi.a, axis=(1, 2)) * np.linalg.norm(phi.b, axis=(1, 2))
+    return 8.0 * np.finfo(np.float64).eps * (dim + len(phi)) * (dim + 1) * np.sum(norms)
 
 
 def _choi_certifies_probes(phi, tol):
     # Whether n max(0, -lambda_min(choi), n^2 max |choi - choi*|) plus the
-    # rounding margin 8 n eps (n^2 + k)(n^2 + 1) sum_i |A_i|_F |B_i|_F of k
-    # terms is within tol. A psd probe X of norm at most 1 has the output
-    # sum_k (R_k (x) 1) choi (R_k (x) 1)* with |sum_k R_k R_k*| = |tr_2 X| <= n,
-    # so then every probe, E included, passes.
+    # rounding margin is within tol. A psd probe X of norm at most 1 has the
+    # output sum_k (R_k (x) 1) choi (R_k (x) 1)* with |sum_k R_k R_k*| =
+    # |tr_2 X| <= n, so then every probe, E included, passes.
     _, low, defect = _psd_split(choi(phi), tol)
     dim = phi.n * phi.n
-    norms = np.linalg.norm(phi.a, axis=(1, 2)) * np.linalg.norm(phi.b, axis=(1, 2))
-    margin = 8.0 * np.finfo(np.float64).eps * (dim + len(phi)) * (dim + 1) * np.sum(norms)
-    return bool(phi.n * (np.max((0.0, -low, dim * defect)) + margin) <= tol)
+    return bool(phi.n * (np.max((0.0, -low, dim * defect)) + _rounding_margin(phi)) <= tol)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=100)
@@ -227,12 +238,16 @@ def test_a_choi_certified_probe_pass_is_positive_on_every_probe(case):
 
 @settings(PROPERTY_SETTINGS, max_examples=100)
 @given(certificate_cases(generic=True))
-def test_check_cp_takes_the_extension_verdict_of_e_alone(case):
+def test_check_cp_takes_the_extension_verdict_of_e_measured(case):
     phi, rep, tol, trials, seed = case
     try:
         report = check_cp(phi, tol=tol, rep=rep, trials=trials, seed=seed)
     except InternalDisagreement as exc:
         report = exc.report
-    ext = extension_positivity_check(phi, trials=0, tol=tol, rep=rep)
-    event(f"extension positive: {ext.positive}")
-    assert report.extension_positive == report.amplification_positive == ext.positive
+    verdict = e_verdict(phi, rep, tol)
+    event(f"extension positive: {verdict}")
+    assert report.extension_positive == report.amplification_positive == verdict
+    # the tracial E's output is choi / n, whatever the weights
+    low = _psd_split(choi(phi), tol)[1]
+    if -low > phi.n * (tol + _rounding_margin(phi)):
+        assert not verdict
