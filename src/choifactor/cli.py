@@ -42,7 +42,7 @@ def _cmd_adjoint(args) -> tuple[dict, bool]:
 
 def _cmd_cp(args) -> tuple[dict, bool]:
     phi, rep = formats.load_map_file(args.file)
-    report = check_cp(phi, tol=args.tol, rep=rep, trials=args.trials, seed=args.seed)
+    report = check_cp(phi, tol=args.tol, rep=rep)
     doc = {
         "command": "cp",
         "cp": report.cp,
@@ -56,8 +56,6 @@ def _cmd_cp(args) -> tuple[dict, bool]:
         "min_eig_dual_choi": report.min_eig_dual_choi,
         "min_eig_choi": report.min_eig_choi,
         "tol": report.tol,
-        "trials": report.trials,
-        "seed": report.seed,
     }
     return doc, report.cp
 
@@ -174,8 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("cp", _cmd_cp, "five-way complete positivity report", verdict=True)
     p.add_argument("--tol", type=_at_least(float, 0), default=1e-9)
-    p.add_argument("--trials", type=_at_least(int, 0), default=64)
-    p.add_argument("--seed", type=_at_least(int, 0), default=42)
 
     p = add("kraus", _cmd_kraus, "Kraus operators from the dual Choi operator",
             verdict=True)

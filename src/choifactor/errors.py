@@ -29,10 +29,6 @@ class BadWeights(ChoiFactorError):
     """Weight vector is empty, has the wrong length, or contains nonpositive entries."""
 
 
-class NotTracial(ChoiFactorError):
-    """No longer raised, as every operation works at any weights; kept for callers."""
-
-
 class RepMismatch(ChoiFactorError):
     """Two operands were built over different factor representations."""
 

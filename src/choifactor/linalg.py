@@ -78,18 +78,28 @@ def hermiticity_defect(m) -> float:
 
 
 def scaled_tol(x: float, tol: float, m) -> float:
-    """The threshold tol * max(1, opnorm(m)) that a defect x >= 0 is held to.
+    """A threshold that a defect x >= 0 compares with as with the full
+    threshold tol * max(1, opnorm(m)).
 
     When x is not above tol (a NaN is above no threshold) the scale cannot
-    change the comparison, so tol itself is returned and the SVD behind
-    opnorm is skipped; x compares with the result as with the full threshold.
+    change the comparison, so tol itself is returned. When x is above
+    tol * max(1, ||m||_F), an upper bound on the full threshold since
+    ||m||_F >= opnorm(m), that bound is returned. Only in between does the
+    SVD behind opnorm run; a Frobenius norm that is not finite bounds
+    nothing and leaves the comparison to it.
     """
-    return tol if not x > tol else tol * max(1.0, opnorm(m))
+    if not x > tol:
+        return tol
+    # widened by far more than the rounding of either norm
+    with np.errstate(over="ignore"):
+        upper = tol * max(1.0, float(np.linalg.norm(m)) * (1.0 + 1e-10))
+    return upper if x > upper else tol * max(1.0, opnorm(m))
 
 
 def hermitian_part(m, tol: float) -> tuple[np.ndarray, float, bool]:
     """(m + m*)/2, the defect max |m - m*|, and whether the defect is
-    within tol * max(1, opnorm(m)); the SVD runs only when defect > tol."""
+    within tol * max(1, opnorm(m)); the SVD runs only when the defect lies
+    between tol and scaled_tol's Frobenius bound tol * max(1, ||m||_F)."""
     m = as_complex(m)
     herm, defect = _hermitian_split(m)
     defect = float(defect)
@@ -106,13 +116,7 @@ def psd_within(m, tol: float) -> tuple[bool, float]:
 def _psd_split(m, tol: float) -> tuple[bool, float, float]:
     # psd_within's verdict and lowest eigenvalue, plus the defect
     # max |m - m*| of the one Hermitian split both are read from
-    return _psd_of(hermitian_part(m, tol), tol)
-
-
-def _psd_of(split: tuple[np.ndarray, float, bool], tol: float) -> tuple[bool, float, float]:
-    # _psd_split read from split = hermitian_part(m, tol), for a caller
-    # that uses the split for more than this verdict
-    herm, defect, hermitian = split
+    herm, defect, hermitian = hermitian_part(m, tol)
     _require_finite("diagonalize", herm)
     low = float(np.linalg.eigvalsh(herm)[0])
     return hermitian and low >= -tol, low, defect

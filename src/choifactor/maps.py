@@ -17,7 +17,6 @@ reshape(C, -1).
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,6 @@ from .linalg import (
     _check_tol,
     _descending_eigh,
     _hermitian_split,
-    _psd_of,
     _psd_split,
     _require_finite,
     as_complex,
@@ -186,22 +184,22 @@ def kraus_decompose(
     """
     _check_tol(tol)
     rep = _resolve_rep(phi, rep)
-    return _kraus_from_split(hermitian_part(dual_choi(phi, rep), tol), rep, tol)
-
-
-def _kraus_from_split(split: tuple[np.ndarray, float, bool], rep: FactorRep,
-                      tol: float) -> KrausDecomposition:
-    # Kraus operators from split = hermitian_part(d, tol) of the dual Choi operator d
-    herm, defect, hermitian = split
+    herm, defect, hermitian = hermitian_part(dual_choi(phi, rep), tol)
     evals, evecs, scale = _descending_eigh(herm)
     if not hermitian:
         raise NotPositive(float(evals[-1]), hermiticity_defect=defect,
                           message="dual Choi operator is not Hermitian")
     if evals[-1] < -tol:
         raise NotPositive(float(evals[-1]), hermiticity_defect=defect)
-    # only the eigenvectors kept below need their canonical basis and phase
-    _canonicalize(evals, evecs, scale, above=tol)
+    return _kraus_cut(evals, evecs, scale, rep, tol)
 
+
+def _kraus_cut(evals: np.ndarray, evecs: np.ndarray, scale: float, rep: FactorRep,
+               tol: float) -> KrausDecomposition:
+    # Kraus operators from the descending eigendecomposition (evals, evecs,
+    # scale) of a dual Choi operator's Hermitian part, lowest eigenvalue not
+    # below -tol; only the eigenvectors kept need their canonical basis and phase
+    _canonicalize(evals, evecs, scale, above=tol)
     kept = ~(evals <= tol)
     cs = evals[kept]
     ops = np.sqrt(cs)[:, None, None] * implementer_from_vector(rep, evecs[:, kept].T)
@@ -283,25 +281,6 @@ def _state_measured(phi: PairSumMap, rep: FactorRep, t_rows: np.ndarray) -> tupl
     return _measured(_amplified(state_projection(rep)[1][None], phi.n, t_rows), np.inf, 0.0)
 
 
-def _extension_probes(
-    phi: PairSumMap, trials: int, rep: FactorRep, seed: int
-) -> Iterator[tuple[float, float]]:
-    # The probe pass of extension_positivity_check. Yields the running worst
-    # (lowest) output eigenvalue and worst relative output defect after E
-    # and after each stack of random probes, drawn anew from the seed on
-    # every pass. Both running values are monotone and exact at every yield.
-    t_rows = transfer(phi).T
-    worst = _state_measured(phi, rep, t_rows)
-    yield worst
-    dim = phi.n * phi.n
-    per_stack = max(1, _STACK_BYTES // (16 * dim * dim))  # complex128 entries
-    rng = np.random.default_rng(seed)
-    for start in range(0, trials, per_stack):
-        m = _random_gram(rng, min(per_stack, trials - start), dim)
-        worst = _measured(_amplified(_unit_scaled(m), phi.n, t_rows), *worst)
-        yield worst
-
-
 def _extension_verdict(phi: PairSumMap, rep: FactorRep, t_rows: np.ndarray,
                        choi_low: float, choi_defect: float, tol: float) -> bool:
     # extension_positivity_check(phi, trials=0, tol=tol, rep=r).positive at
@@ -348,11 +327,6 @@ def _within(low: float, defect: float, tol: float) -> bool:
     return low >= -tol and defect <= tol
 
 
-def _check_trials(trials: int) -> None:
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials!r}")
-
-
 def extension_positivity_check(
     phi: PairSumMap,
     trials: int = 64,
@@ -380,9 +354,17 @@ def extension_positivity_check(
     worst defect so far.
     """
     _check_tol(tol)
-    _check_trials(trials)
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials!r}")
     rep = _resolve_rep(phi, rep)
-    *_, (low, defect) = _extension_probes(phi, trials, rep, seed)
+    t_rows = transfer(phi).T
+    low, defect = _state_measured(phi, rep, t_rows)
+    dim = phi.n * phi.n
+    per_stack = max(1, _STACK_BYTES // (16 * dim * dim))  # complex128 entries
+    rng = np.random.default_rng(seed)
+    for start in range(0, trials, per_stack):
+        m = _random_gram(rng, min(per_stack, trials - start), dim)
+        low, defect = _measured(_amplified(_unit_scaled(m), phi.n, t_rows), low, defect)
     return ExtensionReport(
         positive=_within(low, defect, tol),
         min_eigenvalue=float(low),
@@ -405,17 +387,9 @@ class CpReport:
     min_eig_dual_choi: float
     min_eig_choi: float
     tol: float
-    trials: int
-    seed: int
 
 
-def check_cp(
-    phi: PairSumMap,
-    tol: float = 1e-9,
-    rep: FactorRep | None = None,
-    trials: int = 64,
-    seed: int = 42,
-) -> CpReport:
+def check_cp(phi: PairSumMap, tol: float = 1e-9, rep: FactorRep | None = None) -> CpReport:
     """Run all five CP characterizations and assert they agree.
 
     (1) identity (x) phi preserves positivity on the state projection E;
@@ -441,15 +415,20 @@ def check_cp(
     measured through the transfer matrix only where it cannot. So (1) and
     (2) are computed apart from (5) only where E is measured: a map with
     room to spare on either side of tol gets their verdict from the same
-    eigenvalues as (5). No random probe is drawn: trials and seed are
-    reported but no longer drive the verdict; extension_positivity_check
-    runs the random probes.
+    eigenvalues as (5). No random probe is drawn;
+    extension_positivity_check runs the random probes.
+
+    (3) and (4) read one eigendecomposition of the dual Choi operator's
+    Hermitian part: min_eig_dual_choi is its lowest eigenvalue, and the
+    Kraus operators are cut from the same eigenvalues and eigenvectors, so
+    the two verdicts compare one number with -tol. A dual Choi operator
+    that is not Hermitian within tol fails both, and only its lowest
+    eigenvalue is computed.
 
     Raises InternalDisagreement when the verdicts conflict, and ValueError
-    when trials < 0 or tol is not a finite number >= 0.
+    when tol is not a finite number >= 0.
     """
     _check_tol(tol)
-    _check_trials(trials)
     rep = _resolve_rep(phi, rep)
     t = transfer(phi)
     c = choi(phi)
@@ -459,22 +438,23 @@ def check_cp(
     choi_ok, choi_low, choi_defect = _psd_split(c, tol)
     ext_ok = _extension_verdict(phi, rep, t.T, choi_low, choi_defect, tol)
 
-    # one Hermitian split of the dual Choi operator serves (3) and (4)
-    split = hermitian_part(dual_choi(phi, rep), tol)
+    # one Hermitian split and one eigendecomposition serve (3) and (4)
+    herm, _, hermitian = hermitian_part(dual_choi(phi, rep), tol)
+    if hermitian:
+        evals, evecs, scale = _descending_eigh(herm)
+        dual_low = float(evals[-1])
+    else:
+        # no Kraus operators to cut, so only the lowest eigenvalue is needed
+        _require_finite("diagonalize", herm)
+        dual_low = float(np.linalg.eigvalsh(herm)[0])
+    dual_ok = hermitian and dual_low >= -tol
     kraus_ok = False
-    try:
-        # a dual Choi operator that is not Hermitian within tol has no Kraus
-        # operators, so its eigh is skipped
-        kd = _kraus_from_split(split, rep, tol) if split[2] else None
-    except NotPositive:
-        kd = None
-    if kd is not None:
+    if dual_ok:
+        kd = _kraus_cut(evals, evecs, scale, rep, tol)
         v = np.array(kd.ops, dtype=np.complex128).reshape(-1, phi.n, phi.n)
         t_kraus = transfer(PairSumMap(phi.n, np.stack((dagger(v), v), axis=1)))
         worst = float(np.max(np.abs(t_kraus - t)))
         kraus_ok = worst <= scaled_tol(worst, 10.0 * max(tol, 1e-12), t)
-
-    dual_ok, dual_low, _ = _psd_of(split, tol)
 
     verdicts = (ext_ok, ext_ok, kraus_ok, dual_ok, choi_ok)
     report = CpReport(
@@ -487,8 +467,6 @@ def check_cp(
         min_eig_dual_choi=dual_low,
         min_eig_choi=choi_low,
         tol=tol,
-        trials=trials,
-        seed=seed,
     )
     if len(set(verdicts)) != 1:
         raise InternalDisagreement(report)

@@ -218,12 +218,12 @@ def test_cli_huge_entries_leave_stdout_empty_on_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["cp", "--trials", "-1"],
+    ["cp", "--tol", "-1"],
     ["positive", "--restarts", "0"],
     ["positive", "--restarts", "-3"],
     ["positive", "--oracle", "--resolution", "0"],
-    ["cp", "--trials", "many"],
-    ["cp", "--seed", "-1"],
+    ["cp", "--tol", "loose"],
+    ["cp", "--tol", "inf"],
     ["positive", "--seed", "-1"],
     ["positive", "--iters", "-3"],
     ["cp", "--tol", "nan"],
@@ -241,6 +241,17 @@ def test_cli_out_of_range_options_exit_2(argv):
     assert err.getvalue().startswith(f"usage: choifactor {argv[0]} ")
     assert f"argument {argv[-2]}:" in err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("option", [["--trials", "5"], ["--seed", "3"]])
+def test_cli_cp_takes_no_trials_or_seed(option):
+    # cp draws no random probe, so it has nothing for either to drive
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["cp", str(DATA / "transpose.json")] + option)
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+    assert f"unrecognized arguments: {' '.join(option)}" in err.getvalue()
 
 
 def test_cli_missing_file_exits_2():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,22 +198,36 @@ def _counting_opnorm(monkeypatch):
 
 
 def test_hermitian_part_verdict_matches_the_full_threshold(monkeypatch):
-    # tol placed just below, at and above the defect and the defect / ||m||,
-    # for ||m|| above and below 1
+    # tol placed just below, at and above the defect, the defect / ||m|| and
+    # the defect / ||m||_F, for ||m|| above and below 1; the SVD runs only
+    # where the defect lies between tol and the Frobenius bound, ||m||_F
+    # widened by 1e-10 for rounding as scaled_tol widens it
     rng = np.random.default_rng(41)
     calls = _counting_opnorm(monkeypatch)
     for m in (5.0 * cgauss(rng, 4, 4), 0.1 * cgauss(rng, 4, 4),
               random_hermitian(rng, 4) + 1e-9 * cgauss(rng, 4, 4)):
         defect = float(np.max(np.abs(m - m.conj().T)))
         norm = np.linalg.norm(m, 2)
-        for edge in (defect, defect / max(1.0, norm)):
+        fro = float(np.linalg.norm(m)) * (1.0 + 1e-10)
+        for edge in (defect, defect / max(1.0, norm), defect / max(1.0, fro)):
             for tol in (edge * (1 - 1e-12), edge, edge * (1 + 1e-12)):
                 calls.clear()
                 herm, got_defect, within = hermitian_part(m, tol)
                 assert np.array_equal(herm, (m + m.conj().T) / 2.0)
                 assert got_defect == defect
                 assert within == (not defect > tol * max(1.0, norm))
-                assert len(calls) == (defect > tol)
+                assert len(calls) == (tol < defect <= tol * max(1.0, fro))
+
+
+def test_scaled_tol_takes_the_svd_when_the_frobenius_norm_overflows(monkeypatch):
+    # ||m||_F overflows while every entry is finite: the bound decides
+    # nothing and warns of nothing, and opnorm gives the full threshold
+    calls = _counting_opnorm(monkeypatch)
+    m = 1e160 * cgauss(np.random.default_rng(47), 4, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert scaled_tol(1.0, 1e-9, m) == 1e-9 * opnorm(m)
+    assert len(calls) == 1
 
 
 def test_hermitian_eig_takes_no_svd_of_hermitian_input(monkeypatch):

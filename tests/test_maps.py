@@ -37,7 +37,7 @@ from choifactor import (
 )
 from choifactor import linalg, maps, positivity, projection_algebra
 from choifactor.linalg import hermitian_eig, hermiticity_defect, matrix_units
-from choifactor.maps import _STACK_BYTES, _extension_probes, _random_gram, _unit_scaled
+from choifactor.maps import _STACK_BYTES, _random_gram, _unit_scaled
 from helpers import cgauss, e_verdict, matrix_unit, random_cp_map, random_hp_map, random_map
 
 TRACIAL2 = make_factor(2)
@@ -567,6 +567,8 @@ def _cp_report(phi, rep, **kw):
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_early_exit_keeps_the_extension_verdict(n, weighted):
+    # check_cp stops at E and draws no random probe, yet its extension
+    # verdict is that of the full probe pass at any trials and seed
     rng = np.random.default_rng(110 + n)
     rep = make_factor(n, rng.uniform(0.2, 1.0, n)) if weighted else make_factor(n)
     maps_ = _cp_sweep_maps(rng, n)
@@ -574,27 +576,11 @@ def test_early_exit_keeps_the_extension_verdict(n, weighted):
         # the near-boundary band, t log-spaced across (tol/n, n tol)
         maps_ += [_band_map(n, t) for t in np.geomspace(1e-9 / n, n * 1e-9, 8)]
     for phi in maps_:
+        report = _cp_report(phi, rep)
         for trials, seed in ((64, 42), (5, 3)):
-            report = _cp_report(phi, rep, trials=trials, seed=seed)
             ext = extension_positivity_check(phi, trials=trials, rep=rep, seed=seed)
             assert report.extension_positive == ext.positive
             assert report.amplification_positive == ext.positive
-
-
-@pytest.mark.parametrize("n, trials", [(6, 64), (6, 7), (8, 12)])
-def test_probe_pass_yields_the_report_of_each_prefix(n, trials):
-    # E alone, then stacks of per_stack random probes: after the j-th yield
-    # the pass has seen exactly the probes of a check with that many trials
-    per_stack = max(1, _STACK_BYTES // (16 * n**4))
-    rng = np.random.default_rng(120 + n)
-    rep = make_factor(n, rng.uniform(0.2, 1.0, n))
-    for phi in (random_map(rng, n, 2), random_hp_map(rng, n, 2), _band_map(n, 1.5e-9)):
-        yields = list(_extension_probes(phi, trials, rep, seed=9))
-        prefixes = [0] + [min(trials, j * per_stack) for j in range(1, -(-trials // per_stack) + 1)]
-        assert len(yields) == len(prefixes)
-        for (low, defect), count in zip(yields, prefixes):
-            report = extension_positivity_check(phi, trials=count, rep=rep, seed=9)
-            assert (low, defect) == (report.min_eigenvalue, report.hermiticity_defect)
 
 
 @pytest.fixture
@@ -666,7 +652,6 @@ def test_check_cp_draws_no_random_probe_on_the_cp_sweep_families_and_the_band(mo
         reports = [_cp_report(phi, rep) for phi, rep in cases]
     for (phi, rep), report in zip(cases, reports):
         assert report.extension_positive == e_verdict(phi, rep)
-        assert (report.trials, report.seed) == (64, 42)
 
 
 def test_another_key_draws_its_probes_again(draws):
@@ -848,6 +833,46 @@ def test_check_cp_passes_the_trace_onto_e00_at_any_tol(tol):
     assert extension_positivity_check(phi, trials=0, tol=tol).positive
 
 
+def test_check_cp_diagonalizes_the_dual_choi_operator_once(monkeypatch):
+    # where the Choi spectrum's window settles E, the only eigensolves are
+    # eigvalsh of the Choi matrix and eigh of the dual Choi operator, which
+    # serves both min_eig_dual_choi and the Kraus cut
+    rng = np.random.default_rng(170)
+    weighted = make_factor(4, rng.uniform(0.2, 1.0, 4))
+    cases = [(_normalized_kraus_map(rng, 4, 3), weighted), (_normalized_kraus_map(rng, 4, 16), None),
+             (transpose_map(4), weighted), (random_hp_map(rng, 4, 4), None)]
+    for phi, rep in cases:
+        assert _settled(phi, 1e-9, rep) is not None
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counting(m, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _solve(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    for phi, rep in cases:
+        calls.clear()
+        _cp_report(phi, rep)
+        assert sorted(calls) == ["eigh", "eigvalsh"]
+
+
+def test_min_eig_dual_choi_is_the_eigenvalue_kraus_decompose_refuses():
+    # both are read from one eigh of the dual Choi operator's Hermitian part
+    rng = np.random.default_rng(175)
+    for n in (2, 3, 4, 6):
+        reps = (make_factor(n), make_factor(n, rng.uniform(0.2, 1.0, n)))
+        sign_mixed = map_sum(random_cp_map(rng, n, n), map_scale(random_cp_map(rng, n, 1), -1.0))
+        for phi in (sign_mixed, _transpose_type(rng, n), _reduction_type(rng, n, n),
+                    _band_map(n, 1e-3)):
+            for rep in reps:
+                with pytest.raises(NotPositive) as refused:
+                    kraus_decompose(phi, rep)
+                assert "not Hermitian" not in str(refused.value)
+                report = _cp_report(phi, rep)
+                assert not report.dual_choi_psd
+                assert report.min_eig_dual_choi == refused.value.min_eigenvalue
+
+
 @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
 def test_tolerances_other_than_finite_numbers_at_least_zero_are_refused(tol, monkeypatch):
     def no_work(phi, rep):
@@ -864,16 +889,13 @@ def test_tolerances_other_than_finite_numbers_at_least_zero_are_refused(tol, mon
 
 
 def test_negative_trials_are_refused(monkeypatch):
-    # refused before any work: a certified check_cp never reaches the probes
+    # refused before any work
     def no_work(phi, rep):
         raise AssertionError("work began before trials was checked")
 
-    with monkeypatch.context() as patch:
-        patch.setattr(maps, "_resolve_rep", no_work)
-        for check in (check_cp, extension_positivity_check):
-            with pytest.raises(ValueError, match="trials"):
-                check(identity_map(2), trials=-1)
-    assert check_cp(transpose_map(2), trials=0).trials == 0
+    monkeypatch.setattr(maps, "_resolve_rep", no_work)
+    with pytest.raises(ValueError, match="trials"):
+        extension_positivity_check(identity_map(2), trials=-1)
 
 
 # ------------------------------------------------ deferred canonicalization

@@ -239,9 +239,9 @@ def test_a_choi_certified_probe_pass_is_positive_on_every_probe(case):
 @settings(PROPERTY_SETTINGS, max_examples=100)
 @given(certificate_cases(generic=True))
 def test_check_cp_takes_the_extension_verdict_of_e_measured(case):
-    phi, rep, tol, trials, seed = case
+    phi, rep, tol, _, _ = case
     try:
-        report = check_cp(phi, tol=tol, rep=rep, trials=trials, seed=seed)
+        report = check_cp(phi, tol=tol, rep=rep)
     except InternalDisagreement as exc:
         report = exc.report
     verdict = e_verdict(phi, rep, tol)
