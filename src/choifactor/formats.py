@@ -158,7 +158,8 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+    # RecursionError: nested too deeply; UnicodeDecodeError: not UTF-8 text
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read {path} as JSON: {exc}") from exc
 
 

@@ -33,14 +33,12 @@ from .linalg import (
     _canonicalize,
     _check_tol,
     _descending_eigh,
-    _hermitian_split,
     _psd_split,
     _require_finite,
     as_complex,
     dagger,
     hermitian_part,
     matrix_units,
-    opnorm,
     psd_within,
     scaled_tol,
 )
@@ -215,85 +213,46 @@ def kraus_apply(kd: KrausDecomposition, c) -> np.ndarray:
     return (dagger(v) @ c @ v).sum(axis=0)
 
 
-# Random probes are evaluated in stacks of at most this many bytes per
-# complex (count, n^2, n^2) copy: all 64 default probes in one stack at
-# n = 2, three per stack at n = 6, one at a time at n = 8; E goes ahead in a
-# stack of its own. Larger stacks would raise peak memory at n >= 6, where
-# one call per probe costs little anyway.
-_STACK_BYTES = 1 << 16
-
-
-def _random_gram(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    # count psd Gram matrices g g*; each g draws its real part and then its
-    # imaginary part, as one draw per probe would
-    s = rng.standard_normal((count, 2, dim, dim))
-    g = s[:, 0] + 1j * s[:, 1]
-    return g @ np.conj(g).swapaxes(1, 2)
-
-
-def _unit_scaled(m: np.ndarray) -> np.ndarray:
-    # each matrix of the stack scaled to operator norm at most 1
-    return m / np.maximum(1.0, np.linalg.norm(m, 2, axis=(1, 2)))[:, None, None]
-
-
 def _blocks_as_rows(m: np.ndarray, n: int) -> np.ndarray:
-    # Row i*n + j of each matrix in the stack holds its block (i, j) read
-    # out row-major; an involution.
-    return m.reshape(-1, n, n, n, n).transpose(0, 1, 3, 2, 4).reshape(m.shape)
+    # Row i*n + j of the n^2 by n^2 matrix m holds its block (i, j) read out
+    # row-major; an involution.
+    return m.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(m.shape)
 
 
 def _amplified(x: np.ndarray, n: int, t_rows: np.ndarray) -> np.ndarray:
-    # (identity (x) phi)(x) for each matrix of the stack, t_rows the
-    # transposed transfer matrix of phi
+    # (identity (x) phi)(x), t_rows the transposed transfer matrix of phi
     return _blocks_as_rows(_blocks_as_rows(x, n) @ t_rows, n)
 
 
 @dataclass(frozen=True)
 class ExtensionReport:
-    """Outcome of probing sum_i (1(x)A_i) X (1(x)B_i) on psd inputs X."""
+    """Outcome of sum_i (1(x)A_i) E (1(x)B_i) at the state projection E."""
 
     positive: bool
     min_eigenvalue: float
     hermiticity_defect: float
-    trials: int
-    seed: int
 
 
-def _measured(out: np.ndarray, worst_low: float, worst_defect: float) -> tuple[float, float]:
-    # The exact evaluation of a stack of outputs: the running worst (lowest)
-    # eigenvalue and worst defect relative to max(1, ||out||), updated by
-    # the stack's. An output's SVD runs only when its bound cannot decide.
-    herm, defects = _hermitian_split(out)
-    _require_finite("diagonalize", herm)
-    evals = np.linalg.eigvalsh(herm)
-    # max |eigenvalue| shrunk by far more than the eigensolver's and the
-    # SVD's rounding, so each bound stays above defect / max(1, ||out||)
-    bounds = defects / np.maximum(1.0, np.max(np.abs(evals), axis=1) * (1.0 - 1e-10))
-    for j, bound in enumerate(bounds.tolist()):
-        if bound > worst_defect:
-            worst_defect = max(worst_defect, float(defects[j]) / max(1.0, opnorm(out[j])))
-    return min([worst_low] + evals[:, 0].tolist()), worst_defect
-
-
-def _state_measured(phi: PairSumMap, rep: FactorRep, t_rows: np.ndarray) -> tuple[float, float]:
-    # The measurement of E alone, a stack of its own of norm one, t_rows the
-    # transposed transfer matrix of phi.
-    return _measured(_amplified(state_projection(rep)[1][None], phi.n, t_rows), np.inf, 0.0)
+def _state_measured(phi: PairSumMap, rep: FactorRep, t_rows: np.ndarray,
+                    tol: float) -> tuple[bool, float, float]:
+    # _psd_split of E's output (identity (x) phi)(E), t_rows the transposed
+    # transfer matrix of phi
+    return _psd_split(_amplified(state_projection(rep)[1], phi.n, t_rows), tol)
 
 
 def _extension_verdict(phi: PairSumMap, rep: FactorRep, t_rows: np.ndarray,
                        choi_low: float, choi_defect: float, tol: float) -> bool:
-    # extension_positivity_check(phi, trials=0, tol=tol, rep=r).positive at
-    # r = rep and, at weights other than the tracial ones, also at the
-    # tracial r, read off the lowest eigenvalue choi_low of the computed
-    # Choi matrix's Hermitian part and its defect max |choi - choi*| where
-    # they settle it, and measured on each E otherwise.
+    # extension_positivity_check(phi, tol=tol, rep=r).positive at r = rep
+    # and, at weights other than the tracial ones, also at the tracial r,
+    # read off the lowest eigenvalue choi_low of the computed Choi matrix's
+    # Hermitian part and its defect max |choi - choi*| where they settle it,
+    # and measured on each E otherwise.
     #
     # Exactly: E's output (D^1/2 (x) 1) choi (D^1/2 (x) 1), D = diag(w), is a
     # congruence of choi, so by Ostrowski each of its eigenvalues is theta
     # lambda(choi) with theta in [w_min, w_max], and each entry of its defect
-    # is sqrt(w_i w_j) times one of choi's, at most w_max max |choi - choi*|;
-    # the relative defect is at most the absolute one. A small w_min could
+    # is sqrt(w_i w_j) times one of choi's, at most w_max max |choi - choi*|,
+    # and the Hermiticity rule allows it at least tol. A small w_min could
     # hide a negative Choi eigenvalue far beyond tol; the tracial E, whose
     # output is choi / n, cannot. As w_min <= 1/n <= w_max, both pass when
     # the w_max bound does, and one fails when the 1/n bound does.
@@ -320,58 +279,29 @@ def _extension_verdict(phi: PairSumMap, rep: FactorRep, t_rows: np.ndarray,
         return False
     tracial = make_factor(phi.n)
     reps = (rep,) if np.array_equal(rep.weights, tracial.weights) else (rep, tracial)
-    return all(_within(*_state_measured(phi, r, t_rows), tol) for r in reps)
-
-
-def _within(low: float, defect: float, tol: float) -> bool:
-    return low >= -tol and defect <= tol
+    return all(_state_measured(phi, r, t_rows, tol)[0] for r in reps)
 
 
 def extension_positivity_check(
     phi: PairSumMap,
-    trials: int = 64,
     tol: float = 1e-9,
     rep: FactorRep | None = None,
-    seed: int = 42,
 ) -> ExtensionReport:
-    """Probe the same pair-sum formula with coefficients lifted to 1 (x) A_i
-    acting on all of B(H).
+    """Evaluate the same pair-sum formula with coefficients lifted to
+    1 (x) A_i acting on all of B(H), at the state projection E.
 
-    Inputs are the state projection E plus `trials` random psd matrices of
-    size n^2 (unit operator norm). Block (i, j) of
-    sum_i (1(x)A_i) X (1(x)B_i) is phi(X_ij), so the output is the
-    amplification (identity (x) phi)(X), computed with the transfer
-    matrix. Reports the worst (lowest) output eigenvalue and the worst
-    output Hermiticity defect relative to max(1, ||out||), over every
-    probe. Raises ValueError when trials < 0 or tol is not a finite
-    number >= 0.
-
-    E is evaluated first, then the random probes are drawn from the seed,
-    anew on every call, and multiplied and diagonalized in stacks of up to
-    64 KB per copy. Since ||out|| >= ||(out + out*)/2|| = max |eigenvalue|,
-    the eigenvalues already give an upper bound on each probe's relative
-    defect, and ||out|| is computed only for probes whose bound exceeds the
-    worst defect so far.
+    Block (i, j) of sum_i (1(x)A_i) E (1(x)B_i) is phi(E_ij), so the output
+    is the amplification (identity (x) phi)(E), computed with the transfer
+    matrix. It is positive exactly when phi is CP, being a congruence of
+    the Choi matrix. Reports whether the output is Hermitian and psd within
+    tol, its Hermitian part's lowest eigenvalue, and its defect
+    max |out - out*|, under the package's one Hermiticity rule (see
+    linalg). Raises ValueError when tol is not a finite number >= 0.
     """
     _check_tol(tol)
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials!r}")
     rep = _resolve_rep(phi, rep)
-    t_rows = transfer(phi).T
-    low, defect = _state_measured(phi, rep, t_rows)
-    dim = phi.n * phi.n
-    per_stack = max(1, _STACK_BYTES // (16 * dim * dim))  # complex128 entries
-    rng = np.random.default_rng(seed)
-    for start in range(0, trials, per_stack):
-        m = _random_gram(rng, min(per_stack, trials - start), dim)
-        low, defect = _measured(_amplified(_unit_scaled(m), phi.n, t_rows), low, defect)
-    return ExtensionReport(
-        positive=_within(low, defect, tol),
-        min_eigenvalue=float(low),
-        hermiticity_defect=float(defect),
-        trials=trials,
-        seed=seed,
-    )
+    positive, low, defect = _state_measured(phi, rep, transfer(phi).T, tol)
+    return ExtensionReport(positive=positive, min_eigenvalue=low, hermiticity_defect=defect)
 
 
 @dataclass(frozen=True)
@@ -407,16 +337,16 @@ def check_cp(phi: PairSumMap, tol: float = 1e-9, rep: FactorRep | None = None) -
     in [w_min, w_max], so at weights other than the tracial ones the
     tracial state's projection, whose output is choi / n, is judged as
     well, and a small weight cannot hide a negative Choi eigenvalue. The
-    verdict is that of extension_positivity_check with trials=0 at rep,
-    and also at make_factor(n) when the weights differ from it.
+    verdict is that of extension_positivity_check at rep, and also at
+    make_factor(n) when the weights differ from it.
 
     The Choi spectrum of (5), scaled by the weights and allowed its
     rounding, settles that verdict where it can, and E's output is
     measured through the transfer matrix only where it cannot. So (1) and
     (2) are computed apart from (5) only where E is measured: a map with
     room to spare on either side of tol gets their verdict from the same
-    eigenvalues as (5). No random probe is drawn;
-    extension_positivity_check runs the random probes.
+    eigenvalues as (5). No random probe is drawn, here or in
+    extension_positivity_check, which measures E alone.
 
     (3) and (4) read one eigendecomposition of the dual Choi operator's
     Hermitian part: min_eig_dual_choi is its lowest eigenvalue, and the

@@ -180,10 +180,10 @@ def rank_one_subprojection(p: PairSumElement, tol: float = TOL_ALG) -> PairSumEl
     """
     m = materialize(p)
     norm = opnorm(m)
-    _, herm, hermitian = hermitian_part(m, tol)
+    _, defect, hermitian = hermitian_part(m, tol)
     idem = float(np.max(np.abs(m @ m - m)))
     if not hermitian or idem > tol * max(1.0, norm):
-        raise NotAProjection(f"hermiticity defect {herm:.3e}, idempotency defect {idem:.3e}")
+        raise NotAProjection(f"hermiticity defect {defect:.3e}, idempotency defect {idem:.3e}")
     if norm <= tol:
         raise ZeroProjection("projection is numerically zero")
     for unit in matrix_units(p.rep.n):

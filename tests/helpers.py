@@ -44,7 +44,7 @@ def random_hp_map(rng, n, k):
 def e_verdict(phi, rep, tol=1e-9):
     # check_cp's amplification and extension verdict: E measured at rep,
     # and at the tracial weights as well
-    return all(extension_positivity_check(phi, trials=0, tol=tol, rep=r).positive
+    return all(extension_positivity_check(phi, tol=tol, rep=r).positive
                for r in (rep, make_factor(phi.n)))
 
 

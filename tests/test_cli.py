@@ -272,6 +272,18 @@ def test_cli_invalid_json_exits_2(tmp_path):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+
+@pytest.mark.parametrize(
+    "cmd", ["choi", "dphi", "adjoint", "cp", "kraus", "positive", "spectral"]
+)
+def test_cli_file_that_is_not_utf8_exits_2(tmp_path, cmd):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b'\xff\xfe{"n":2}')
+    code, out, err = run_cli([cmd, str(bad)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
 def test_cli_bad_weights_exit_2(tmp_path):
     # a negative weight, and one too long for a float
     for weights in ([1.0, -1.0], [10**400, 1]):

@@ -37,7 +37,6 @@ from choifactor import (
 )
 from choifactor import linalg, maps, positivity, projection_algebra
 from choifactor.linalg import hermitian_eig, hermiticity_defect, matrix_units
-from choifactor.maps import _STACK_BYTES, _random_gram, _unit_scaled
 from helpers import cgauss, e_verdict, matrix_unit, random_cp_map, random_hp_map, random_map
 
 TRACIAL2 = make_factor(2)
@@ -337,25 +336,11 @@ def test_extension_check_flags_nonhermitian_output():
     assert report.hermiticity_defect > 1e-6
 
 
-def _lifted_extension_reference(phi, rep, trials, seed):
-    # sum_i (1(x)A_i) X (1(x)B_i) with the coefficients lifted to n^2 x n^2,
-    # on E and then on the seeded psd probes in extension_positivity_check's order
-    rng = np.random.default_rng(seed)
-    dim = phi.n * phi.n
+def _lifted_extension_reference(phi, rep):
+    # sum_i (1(x)A_i) E (1(x)B_i) with the coefficients lifted to n^2 x n^2
     x0 = rep.state_vector
-    probes = [np.outer(x0, np.conj(x0))]
-    for _ in range(trials):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        m = g @ g.conj().T
-        probes.append(m / max(1.0, np.linalg.norm(m, 2)))
-    lifted = [(embed(rep, a), embed(rep, b)) for a, b in phi.terms]
-    worst_low, worst_defect = np.inf, 0.0
-    for x in probes:
-        out = sum((la @ x @ lb for la, lb in lifted), np.zeros_like(x))
-        defect = np.max(np.abs(out - out.conj().T)) / max(1.0, np.linalg.norm(out, 2))
-        worst_defect = max(worst_defect, defect)
-        worst_low = min(worst_low, np.linalg.eigvalsh((out + out.conj().T) / 2)[0])
-    return worst_low, worst_defect
+    e = np.outer(x0, np.conj(x0))
+    return sum((embed(rep, a) @ e @ embed(rep, b) for a, b in phi.terms), np.zeros_like(e))
 
 
 def _band_map(n, t):
@@ -372,72 +357,38 @@ def test_extension_check_matches_lifted_reference(n, weighted):
     maps = [random_map(rng, n, 3), random_cp_map(rng, n, 2), random_hp_map(rng, n, 3)]
     maps += [_band_map(n, t) for t in (1e-10, 1.5e-9, 3e-9, 1e-6)]
     for phi in maps:
-        report = extension_positivity_check(phi, trials=6, rep=rep, seed=7)
-        low, defect = _lifted_extension_reference(phi, rep, trials=6, seed=7)
+        report = extension_positivity_check(phi, rep=rep)
+        out = _lifted_extension_reference(phi, rep)
+        low = np.linalg.eigvalsh((out + out.conj().T) / 2)[0]
+        defect = np.max(np.abs(out - out.conj().T))
         scale = max(1.0, np.linalg.norm(transfer(phi), 2))
         assert abs(report.min_eigenvalue - low) <= rtol * scale
-        assert abs(report.hermiticity_defect - defect) <= rtol
+        assert abs(report.hermiticity_defect - defect) <= rtol * scale
 
 
-def _per_probe_extension_reference(phi, rep, trials, seed):
-    # the probe loop one matrix at a time: E, then each seeded psd probe with
-    # its real and imaginary draws, the output's defect relative to its SVD norm
-    rng = np.random.default_rng(seed)
-    n = phi.n
-    dim = n * n
-    t_rows = transfer(phi).T
 
-    def blocks_as_rows(m):
-        return m.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(dim, dim)
-
-    x0 = rep.state_vector
-    x = np.outer(x0, np.conj(x0))
-    worst_low, worst_defect = np.inf, 0.0
-    for k in range(trials + 1):
-        if k:
-            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            m = g @ np.conj(g).T
-            x = m / max(1.0, np.linalg.norm(m, 2))
-        out = blocks_as_rows(blocks_as_rows(x) @ t_rows)
-        defect = np.max(np.abs(out - np.conj(out).T))
-        worst_defect = max(worst_defect, defect / max(1.0, np.linalg.norm(out, 2)))
-        worst_low = min(worst_low, float(np.linalg.eigvalsh((out + np.conj(out).T) / 2.0)[0]))
-    ok = worst_low >= -1e-9 and worst_defect <= 1e-9
-    return ok, worst_low, worst_defect
-
-
-@pytest.mark.parametrize("n", [2, 3, 6, 8])
+@pytest.mark.parametrize("norm, defect, positive", [
+    (1e-2, 1e-11, True), (1e-2, 5e-9, False),  # below 1: max |out - out*| <= tol
+    (1e3, 1e-7, True), (1e3, 1e-5, False),     # above 1: <= tol ||out||
+])
 @pytest.mark.parametrize("weighted", [False, True])
-def test_stacked_extension_check_matches_per_probe_loop(n, weighted):
-    # stacks hold 256 probes at n = 2, 50 at n = 3, 3 at n = 6 and 1 at n = 8:
-    # E plus 0-4 trials fills an n = 6 stack partly, exactly and one over, and
-    # 64 trials take two stacks at n = 3. Tolerance fixed beforehand: the
-    # stacks do the same floating point work as the loop.
-    rtol = 1e-14
-    rng = np.random.default_rng(90 + n)
+def test_extension_check_takes_the_one_hermiticity_rule(norm, defect, positive, weighted):
+    # a full-rank Kraus map plus a non-Hermiticity-preserving term, scaled so
+    # that E's output has the operator norm `norm` and about the defect
+    # `defect`: the report carries the absolute defect of hermitian_part and
+    # the verdict of psd_within on the lifted output
+    n, tol = 3, 1e-9
+    rng = np.random.default_rng(65)
     rep = make_factor(n, rng.uniform(0.2, 1.0, n)) if weighted else make_factor(n)
-    maps = [random_map(rng, n, 2), random_hp_map(rng, n, 2), _band_map(n, 1.5e-9)]
-    for phi in maps:
-        for trials in (0, 1, 2, 3, 4, 64):
-            report = extension_positivity_check(phi, trials=trials, rep=rep, seed=trials)
-            ok, low, defect = _per_probe_extension_reference(phi, rep, trials, seed=trials)
-            assert report.positive == ok
-            assert abs(report.min_eigenvalue - low) <= rtol * abs(low)
-            assert abs(report.hermiticity_defect - defect) <= rtol * defect
-            assert (report.trials, report.seed) == (trials, trials)
-
-
-@pytest.mark.parametrize("dim", [4, 9, 36])
-def test_stacked_probe_draws_match_sequential_draws(dim):
-    rng_stacked, rng_seq = np.random.default_rng(11), np.random.default_rng(11)
-    stacks = [_unit_scaled(_random_gram(rng_stacked, count, dim)) for count in (3, 0, 1, 5)]
-    want = []
-    for _ in range(9):
-        g = rng_seq.standard_normal((dim, dim)) + 1j * rng_seq.standard_normal((dim, dim))
-        m = g @ np.conj(g).T
-        want.append(m / max(1.0, np.linalg.norm(m, 2)))
-    assert np.array_equal(np.concatenate(stacks), np.array(want))
-    assert rng_stacked.standard_normal() == rng_seq.standard_normal()
+    base, skew = random_cp_map(rng, n, n * n), random_map(rng, n, 1)
+    scale = norm / np.linalg.norm(_lifted_extension_reference(base, rep), 2)
+    skew_defect = hermiticity_defect(_lifted_extension_reference(skew, rep))
+    phi = map_scale(map_sum(base, map_scale(skew, defect / (scale * skew_defect))), scale)
+    out = _lifted_extension_reference(phi, rep)
+    report = extension_positivity_check(phi, tol=tol, rep=rep)
+    assert report.positive == linalg.psd_within(out, tol)[0] == positive
+    # both outputs round each entry by a few eps ||out||; tolerance fixed beforehand
+    assert abs(report.hermiticity_defect - linalg.hermitian_part(out, tol)[1]) <= 1e-13 * norm
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -567,8 +518,8 @@ def _cp_report(phi, rep, **kw):
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_early_exit_keeps_the_extension_verdict(n, weighted):
-    # check_cp stops at E and draws no random probe, yet its extension
-    # verdict is that of the full probe pass at any trials and seed
+    # check_cp reads its extension verdict off the Choi spectrum where it
+    # can, yet it is that of E measured
     rng = np.random.default_rng(110 + n)
     rep = make_factor(n, rng.uniform(0.2, 1.0, n)) if weighted else make_factor(n)
     maps_ = _cp_sweep_maps(rng, n)
@@ -577,47 +528,39 @@ def test_early_exit_keeps_the_extension_verdict(n, weighted):
         maps_ += [_band_map(n, t) for t in np.geomspace(1e-9 / n, n * 1e-9, 8)]
     for phi in maps_:
         report = _cp_report(phi, rep)
-        for trials, seed in ((64, 42), (5, 3)):
-            ext = extension_positivity_check(phi, trials=trials, rep=rep, seed=seed)
-            assert report.extension_positive == ext.positive
-            assert report.amplification_positive == ext.positive
-
-
-@pytest.fixture
-def draws(monkeypatch):
-    # the counts of the random probes drawn during the test
-    calls = []
-    draw = maps._random_gram
-
-    def counting(rng, count, dim):
-        calls.append(count)
-        return draw(rng, count, dim)
-
-    monkeypatch.setattr(maps, "_random_gram", counting)
-    return calls
+        assert report.extension_positive == e_verdict(phi, rep)
+        assert report.amplification_positive == report.extension_positive
 
 
 @pytest.fixture
 def measured(monkeypatch):
-    # the sizes of the output stacks measured during the test
+    # whether the rep of each E measured during the test was the tracial one
     calls = []
-    measure = maps._measured
+    measure = maps._state_measured
 
-    def counting(out, worst_low, worst_defect):
-        calls.append(len(out))
-        return measure(out, worst_low, worst_defect)
+    def counting(phi, rep, t_rows, tol):
+        calls.append(rep.tracial)
+        return measure(phi, rep, t_rows, tol)
 
-    monkeypatch.setattr(maps, "_measured", counting)
+    monkeypatch.setattr(maps, "_state_measured", counting)
     return calls
 
 
-def test_check_cp_on_the_transpose_draws_no_random_probe(draws):
+def _refuse_random_draws(patch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random probe was drawn")
+
+    patch.setattr(np.random, "default_rng", refuse)
+
+
+def test_check_cp_on_the_transpose_draws_no_random_probe(monkeypatch, measured):
+    _refuse_random_draws(monkeypatch)
     assert not check_cp(transpose_map(8)).cp
     assert check_cp(_band_map(4, 7e-10)).cp
-    assert draws == []
-    # the counter sees the draws of extension_positivity_check
+    assert measured == []
+    # the counter sees the one measurement of extension_positivity_check
     extension_positivity_check(_band_map(4, 7e-10))
-    assert sum(draws) == 64
+    assert measured == [True]
 
 
 def _trace_e00(n):
@@ -643,31 +586,11 @@ def test_check_cp_draws_no_random_probe_on_the_cp_sweep_families_and_the_band(mo
     for phi in _sweep_and_band_maps(rng):
         cases += [(phi, make_factor(phi.n)), (phi, make_factor(phi.n, rng.uniform(0.2, 1.0, phi.n)))]
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("check_cp drew a random probe")
-
     with monkeypatch.context() as patch:
-        patch.setattr(np.random, "default_rng", refuse)
-        patch.setattr(maps, "_random_gram", refuse)
+        _refuse_random_draws(patch)
         reports = [_cp_report(phi, rep) for phi, rep in cases]
     for (phi, rep), report in zip(cases, reports):
         assert report.extension_positive == e_verdict(phi, rep)
-
-
-def test_another_key_draws_its_probes_again(draws):
-    # extension_positivity_check draws its seeded probes anew on every call,
-    # at another key as at the same one, with the same bits at the same key
-    phi = _band_map(3, 7e-10)
-    keys = [(64, 42), (64, 42), (64, 7), (10, 7), (10, 7), (0, 7)]
-    reports, totals = [], []
-    for trials, seed in keys:
-        reports.append(extension_positivity_check(phi, trials=trials, seed=seed))
-        totals.append(sum(draws))
-    assert totals == [64, 128, 192, 202, 212, 212]
-    assert reports[0] == reports[1] and reports[3] == reports[4]
-    # the same trials and seed at another n
-    extension_positivity_check(_band_map(2, 7e-10))
-    assert sum(draws) == 276
 
 
 def _weightings(rng, n, weighted):
@@ -710,9 +633,9 @@ def test_check_cp_measures_only_the_probes_it_cannot_certify(measured):
     assert measured == []
     # at 1e6 the rounding margin exceeds tol
     assert check_cp(map_scale(identity_map(4), 1e6)).cp
-    assert measured == [1]
+    assert measured == [True]
     assert check_cp(map_scale(identity_map(4), 1e6), rep=weighted).cp
-    assert measured == [1, 1, 1]
+    assert measured == [True, False, True]
 
 
 def _normalized_kraus_map(rng, n, k):
@@ -745,18 +668,18 @@ def _settled(phi, tol, rep=None, low=None, defect=None):
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 @pytest.mark.parametrize("weighted", [False, True])
-def test_a_cp_map_with_room_to_spare_draws_and_measures_no_probe(n, weighted, draws, measured):
+def test_a_cp_map_with_room_to_spare_draws_and_measures_no_probe(n, weighted, monkeypatch,
+                                                                measured):
     rng = np.random.default_rng(160 + n)
     rep = make_factor(n, rng.uniform(0.2, 1.0, n)) if weighted else make_factor(n)
+    _refuse_random_draws(monkeypatch)
     for k in (1, n, n * n) if n < 8 else (1, n):
         phi = _normalized_kraus_map(rng, n, k)
         report = check_cp(phi, rep=rep)
         assert report.cp
-        assert draws == [] and measured == []
-        # E's measurement, and every seeded probe, agree
-        assert extension_positivity_check(phi, trials=0, rep=rep).positive
+        assert measured == []
+        # E's measurement agrees
         assert extension_positivity_check(phi, rep=rep).positive
-        draws.clear()
         measured.clear()
 
 
@@ -815,7 +738,7 @@ def test_a_small_weight_hides_no_negative_choi_eigenvalue(s, weights):
     # E's output has the eigenvalue -s w_0, within tol, but the map is not
     # CP and all five checks say so; E alone would disagree with the others
     phi, rep = _hidden_by_a_small_weight(s), make_factor(2, weights)
-    assert extension_positivity_check(phi, trials=0, rep=rep).min_eigenvalue == pytest.approx(
+    assert extension_positivity_check(phi, rep=rep).min_eigenvalue == pytest.approx(
         -s * weights[0])
     report = check_cp(phi, rep=rep)
     assert not report.cp
@@ -830,7 +753,7 @@ def test_check_cp_passes_the_trace_onto_e00_at_any_tol(tol):
     phi = _trace_e00(4)
     report = check_cp(phi, tol=tol)
     assert report.cp and report.extension_positive and report.kraus_exists
-    assert extension_positivity_check(phi, trials=0, tol=tol).positive
+    assert extension_positivity_check(phi, tol=tol).positive
 
 
 def test_check_cp_diagonalizes_the_dual_choi_operator_once(monkeypatch):
@@ -886,16 +809,6 @@ def test_tolerances_other_than_finite_numbers_at_least_zero_are_refused(tol, mon
                  lambda: check_positive(transpose_map(2), tol=tol)):
         with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
             call()
-
-
-def test_negative_trials_are_refused(monkeypatch):
-    # refused before any work
-    def no_work(phi, rep):
-        raise AssertionError("work began before trials was checked")
-
-    monkeypatch.setattr(maps, "_resolve_rep", no_work)
-    with pytest.raises(ValueError, match="trials"):
-        extension_positivity_check(identity_map(2), trials=-1)
 
 
 # ------------------------------------------------ deferred canonicalization
