@@ -12,7 +12,8 @@ Hermitian part's lowest eigenvalue is >= -tol.
 Each numerical primitive has one implementation here, which every module
 calls: the Hermitian split (m + m*)/2 with max |m - m*|, the finiteness
 guard ahead of every LAPACK call, the eigensolver entry, the cut of a
-sorted spectrum into clusters, modified Gram-Schmidt and least squares.
+sorted spectrum into clusters, modified Gram-Schmidt, least squares and
+an orthonormal basis of a matrix's range.
 """
 from __future__ import annotations
 
@@ -252,19 +253,19 @@ def subspace_coeffs(v, basis, tol: float = TOL_ALG) -> np.ndarray:
         if vnorm <= bound:
             return np.zeros(0, dtype=np.complex128)
         raise NotInSpan(vnorm)
-    return _span_coeffs(np.stack(cols, axis=1), v[:, None], tol)[:, 0]
-
-
-def _span_coeffs(a: np.ndarray, vs: np.ndarray, tol: float) -> np.ndarray:
-    # Least-squares coefficients of every column of vs over the columns of
-    # a, from one factorization of a. Raises NotInSpan with the residual of
-    # the first column that its best approximation misses by more than
-    # tol * max(1, |column|), and NumericalFailure on an entry that is not a
-    # finite number.
-    _require_finite("solve least squares", a, vs)
-    coeffs, *_ = np.linalg.lstsq(a, vs, rcond=None)
-    residuals = np.linalg.norm(vs - a @ coeffs, axis=0)
-    missed = np.flatnonzero(residuals > tol * np.maximum(1.0, np.linalg.norm(vs, axis=0)))
-    if missed.size:
-        raise NotInSpan(float(residuals[missed[0]]))
+    a = np.stack(cols, axis=1)
+    _require_finite("solve least squares", a, v)
+    coeffs, *_ = np.linalg.lstsq(a, v, rcond=None)
+    residual = float(np.linalg.norm(v - a @ coeffs))
+    if residual > bound:
+        raise NotInSpan(residual)
     return coeffs
+
+
+def _range_basis(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the range of a: the left singular vectors of a
+    thin SVD with singular values above max(a.shape) * eps * sigma_0, the
+    rank cut of lstsq(rcond=None). NumericalFailure on a non-finite entry."""
+    _require_finite("take a range basis", a)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, s > max(a.shape) * np.finfo(np.float64).eps * s[:1]]

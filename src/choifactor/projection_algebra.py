@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     NotAProjection,
     NotHermitian,
+    NotInSpan,
     NotRankOneProjection,
     NotSelfAdjoint,
     RepMismatch,
@@ -31,7 +32,7 @@ from .factor import (
     vector_state,
 )
 from .linalg import (TOL_ALG, _canonicalize, _cluster_runs, _descending_eigh, _gram_schmidt,
-                     _span_coeffs, dagger, hermitian_eig, hermitian_part, matrix_units, opnorm,
+                     _range_basis, dagger, hermitian_eig, hermitian_part, matrix_units, opnorm,
                      subspace_coeffs)
 
 # Relative gap below which kept eigenvalues share one spectral projection.
@@ -250,9 +251,12 @@ def spectral_decompose(t: PairSumElement, tol: float = 1e-9) -> SpectralDecompos
     """Spectral resolution of a self-adjoint element into rank-one pieces.
 
     Eigenvalues with |c| <= tol are dropped (the kernel contributes
-    nothing). Every kept spectral projection is checked to lie in the span
-    of the frames (1(x)A_i) E (1(x)B_j) of the input's own terms; NotInSpan
-    propagates if that fails.
+    nothing). Each kept spectral projection P, one per run of eigenvalues
+    within 1e-8 * scale, must lie in the span of the frames of the input's
+    terms, (1(x)A_i) E (1(x)B_j) = x_i y_j* with x_i = (1(x)A_i)x and
+    y_j = (1(x)B_j*)x: NotInSpan carries |P - Q_X P Q_Y|_F if it exceeds
+    1e-8 * max(1, |P|_F), Q_X and Q_Y projecting onto span{x_i} and span{y_j}
+    with singular values up to max(n^2, k) * eps * sigma_0 cut, as lstsq does.
     """
     herm, defect, hermitian = hermitian_part(materialize(t), tol)
     if not hermitian:
@@ -264,14 +268,14 @@ def spectral_decompose(t: PairSumElement, tol: float = 1e-9) -> SpectralDecompos
     items = tuple(zip(evals[keep].tolist(), _implementers(t.rep, evecs[:, keep])))
 
     # spectral projections of nonzero eigenvalues are polynomials in t with
-    # zero constant term, hence must sit inside the span of the frames of
-    # the terms (A_i, B_j), ordered i * len(t) + j
-    frames = _frames(t.rep, np.repeat(t.a, len(t), axis=0), np.tile(t.b, (len(t), 1, 1)))
-    # one spectral projection per run of kept eigenvalues closer than the gap,
-    # all checked by one least-squares solve
-    projections = [(evecs[:, keep[r]] @ dagger(evecs[:, keep[r]])).reshape(-1)
-                   for r in _cluster_runs(evals[keep], _SPECTRAL_CLUSTER_RTOL * scale)]
-    if projections:
-        _span_coeffs(frames.T, np.stack(projections, axis=1), _SPECTRAL_CLUSTER_RTOL)
+    # zero constant term, hence lie in the span of the frames; P -> Q_X P Q_Y
+    # is the orthogonal projection onto it, so P misses it by the lstsq residual
+    qx = _range_basis(apply_factor_to_state(t.rep, t.a).T)
+    qy = _range_basis(apply_factor_to_state(t.rep, dagger(t.b)).T)
+    for r in _cluster_runs(evals[keep], _SPECTRAL_CLUSTER_RTOL * scale):
+        p = evecs[:, keep[r]] @ dagger(evecs[:, keep[r]])
+        missed = float(np.linalg.norm(p - qx @ (dagger(qx) @ p @ qy) @ dagger(qy)))
+        if missed > _SPECTRAL_CLUSTER_RTOL * max(1.0, float(np.linalg.norm(p))):
+            raise NotInSpan(missed)
 
     return SpectralDecomposition(rep=t.rep, items=items)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from choifactor import PairSumMap, extension_positivity_check, make_factor
+from choifactor import PairSumElement, PairSumMap, extension_positivity_check, make_factor
 
 
 def cgauss(rng, *shape):
@@ -78,3 +78,16 @@ def reference_canonical_phase(v, tol=1e-8):
     pivot = v[int(np.argmax(big))]
     v *= np.conj(pivot) / abs(pivot)
     return v
+
+
+def small_weight_elements(n, count=20, w0=1e-8):
+    # count self-adjoint elements of n^2 sign-mixed terms (+-B_i*, B_i), B_i
+    # complex Gaussian (numpy seed 0), at the weights [w0, 1, ..., 1]
+    rng = np.random.default_rng(0)
+    rep = make_factor(n, [w0] + [1.0] * (n - 1))
+    elements = []
+    for _ in range(count):
+        b = cgauss(rng, n * n, n, n)
+        a = rng.choice([-1.0, 1.0], n * n)[:, None, None] * np.conj(b).swapaxes(1, 2)
+        elements.append(PairSumElement(rep, np.stack((a, b), axis=1)))
+    return elements

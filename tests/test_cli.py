@@ -14,6 +14,7 @@ import pytest
 
 from choifactor import (
     FileFormatError,
+    PairSumMap,
     dumps,
     load_map_file,
     map_doc,
@@ -24,6 +25,7 @@ from choifactor import (
 )
 import choifactor
 from choifactor.cli import main
+from helpers import small_weight_elements
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -50,6 +52,17 @@ def test_dumps_float_seventeen_digits():
 def test_dumps_rejects_nonfinite():
     with pytest.raises(ValueError):
         dumps({"v": float("nan")})
+
+
+def test_cli_spectral_decomposes_an_element_at_a_small_weight(tmp_path):
+    # n^2 terms whose frames span all of M_{n^2}, at the weights [1e-8, 1]
+    t = small_weight_elements(2, count=1)[0]
+    path = tmp_path / "small_weight.json"
+    path.write_text(dumps(map_doc(PairSumMap(2, np.stack((t.a, t.b), axis=1)), t.rep)),
+                    encoding="utf-8")
+    code, out, err = run_cli(["spectral", str(path)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["count"] == 4
 
 
 def test_pretty_and_compact_agree():

@@ -149,16 +149,6 @@ def test_subspace_coeffs_outside_span():
     assert abs(exc.value.residual - 1.0) < 1e-12
 
 
-def test_span_coeffs_solves_every_column_and_reports_the_first_missed():
-    basis = np.eye(3)[:, :2]
-    inside = np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
-    assert np.allclose(linalg._span_coeffs(basis, inside, 1e-10), inside[:2])
-    targets = np.stack([inside[:, 0], 2.0 * np.eye(3)[:, 2], np.eye(3)[:, 2]], axis=1)
-    with pytest.raises(NotInSpan) as exc:
-        linalg._span_coeffs(basis, targets, 1e-10)
-    assert abs(exc.value.residual - 2.0) < 1e-12
-
-
 def test_subspace_coeffs_roundtrip():
     rng = np.random.default_rng(5)
     basis = [cgauss(rng, 8) for _ in range(4)]

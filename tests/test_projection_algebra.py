@@ -3,12 +3,14 @@ import pytest
 
 from choifactor import (
     NotAProjection,
+    NotInSpan,
     NotRankOneProjection,
     NotSelfAdjoint,
     PairSumElement,
     RepMismatch,
     ZeroProjection,
     compress,
+    decomposition_element,
     element_add,
     element_adjoint,
     element_product,
@@ -25,7 +27,8 @@ from choifactor import (
     zero_element,
 )
 from choifactor import projection_algebra
-from helpers import cgauss, matrix_unit, random_selfadjoint_terms
+from choifactor.factor import apply_factor_to_state
+from helpers import cgauss, matrix_unit, random_selfadjoint_terms, small_weight_elements
 
 TRACIAL2 = make_factor(2)
 WEIGHTED2 = make_factor(2, [0.25, 0.75])
@@ -342,20 +345,97 @@ def test_spectral_random_selfadjoint(rep):
                 assert np.abs(projs[i] @ projs[j] - want).max() < 1e-10
 
 
-def test_spectral_decompose_checks_every_cluster_in_one_solve(monkeypatch):
-    calls = []
-    lstsq = np.linalg.lstsq
+def _frames_residual(us, vs, p):
+    # least squares of p over the frames |u><v| of the rows of us and vs, as
+    # one dense solve
+    frames = (us[:, None, :, None] * np.conj(vs)[None, :, None, :]).reshape(-1, p.size)
+    coeffs, *_ = np.linalg.lstsq(frames.T, p.reshape(-1), rcond=None)
+    return float(np.linalg.norm(p.reshape(-1) - frames.T @ coeffs))
 
-    def counting(a, b, rcond=None):
-        calls.append(b.shape)
-        return lstsq(a, b, rcond=rcond)
 
-    monkeypatch.setattr(np.linalg, "lstsq", counting)
+def _projection_miss(qx, qy, m):
+    # |M - Q_X M Q_Y|_F for orthonormal bases qx and qy
+    return float(np.linalg.norm(m - qx @ (np.conj(qx).T @ m @ qy) @ np.conj(qy).T))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_spectral_span_check_is_least_squares_over_the_term_frames(monkeypatch, n):
+    # the range projections of x_i = (1(x)A_i)x and y_j = (1(x)B_j*)x miss a
+    # matrix by what least squares over the k^2 frames x_i y_j* misses it by,
+    # and spectral_decompose gets them without a k^2-term stack or lstsq
+    basis, frames = projection_algebra._range_basis, projection_algebra._frames
+    bases, lengths = [], []
+
+    def recording_basis(a):
+        bases.append(basis(a))
+        return bases[-1]
+
+    def recording_frames(rep, a, b):
+        lengths.append(len(a))
+        return frames(rep, a, b)
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("spectral_decompose solves no least-squares problem")
+
+    monkeypatch.setattr(projection_algebra, "_range_basis", recording_basis)
+    monkeypatch.setattr(projection_algebra, "_frames", recording_frames)
     rng = np.random.default_rng(49)
-    t = PairSumElement(make_factor(3), random_selfadjoint_terms(rng, 3, 3))
-    sd = spectral_decompose(t)
-    assert len(sd) == 6
-    assert calls == [(81, 6)]
+    rep = make_factor(n)
+    for pairs in range(1, n):  # 2 * pairs + 1 < n^2 terms, so the frames miss
+        t = PairSumElement(rep, random_selfadjoint_terms(rng, n, pairs, with_diagonal=True))
+        bases.clear()
+        lengths.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(np.linalg, "lstsq", no_lstsq)
+            sd = spectral_decompose(t)
+        assert set(lengths) == {len(t)}
+        qx, qy = bases
+        x = apply_factor_to_state(rep, t.a)
+        y = apply_factor_to_state(rep, np.conj(t.b).swapaxes(1, 2))
+        for v in apply_factor_to_state(rep, np.array([s for _, s in sd.items])):
+            p = np.outer(v, np.conj(v))
+            assert max(_projection_miss(qx, qy, p), _frames_residual(x, y, p)) <= 1e-12
+        for _ in range(3):
+            m = cgauss(rng, n * n, n * n)
+            got = _projection_miss(qx, qy, m)
+            assert got > 0.1 and abs(got - _frames_residual(x, y, m)) <= 1e-12 * got
+
+
+def test_spectral_raises_not_in_span_when_a_range_basis_misses_a_column(monkeypatch):
+    basis = projection_algebra._range_basis
+    rng = np.random.default_rng(50)
+    for rep in (make_factor(3), make_factor(3, [0.2, 0.3, 0.5])):
+        t = PairSumElement(rep, random_selfadjoint_terms(rng, 3, 2))
+        sd = spectral_decompose(t)
+        cs = np.array([c for c, _ in sd.items])
+        assert np.all(np.abs(np.diff(cs)) > 1e-6)  # one projection per item
+        truncated = []
+
+        def dropping(a):
+            truncated.append(basis(a)[:, 1:])
+            return truncated[-1]
+
+        with monkeypatch.context() as patched:
+            patched.setattr(projection_algebra, "_range_basis", dropping)
+            with pytest.raises(NotInSpan) as exc:
+                spectral_decompose(t)
+        us, vs = (q.T for q in truncated)
+        # the first projection, in item order, that the reference finds
+        # outside the span of the truncated frames
+        misses = [_frames_residual(us, vs, np.outer(v, np.conj(v)))
+                  for v in apply_factor_to_state(rep, np.array([s for _, s in sd.items]))]
+        want = next(r for r in misses if r > 1e-8)
+        assert abs(exc.value.residual - want) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_spectral_decomposes_sign_mixed_elements_at_a_small_weight(n):
+    # k = n^2 frames span all of M_{n^2}, so nothing can miss their span;
+    # one least-squares solve over them refused every one of these
+    for t in small_weight_elements(n):
+        m = materialize(t)
+        rebuilt = materialize(decomposition_element(spectral_decompose(t)))
+        assert np.max(np.abs(rebuilt - m)) <= 1e-9 * max(1.0, float(np.max(np.abs(m))))
 
 
 def test_spectral_rejects_non_selfadjoint():

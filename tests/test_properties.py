@@ -3,8 +3,9 @@ how its terms are presented, the element calculus matches dense
 matrices, Kraus operators rebuild a completely positive map, the CP
 verdict does not see a unitary change of basis on either side, check_cp's
 extension verdict is E's measured one, which no small weight makes pass a
-map whose Choi matrix fails by far, and a map whose Choi margin bounds
-every probe output passes at E.
+map whose Choi matrix fails by far, a map whose Choi margin bounds
+every probe output passes at E, and spectral_decompose rebuilds a
+self-adjoint element at weights down to 1e-10.
 
 Examples are drawn by hypothesis with a fixed seed (derandomize=True), at
 n <= 4 and at most a few terms, so the suite runs the same cases every
@@ -25,6 +26,7 @@ from choifactor import (
     apply_map,
     check_cp,
     choi,
+    decomposition_element,
     dual_choi,
     element_adjoint,
     element_product,
@@ -35,6 +37,7 @@ from choifactor import (
     map_scale,
     map_sum,
     materialize,
+    spectral_decompose,
     transfer,
     transpose_map,
 )
@@ -251,3 +254,31 @@ def test_check_cp_takes_the_extension_verdict_of_e_measured(case):
     low = _psd_split(choi(phi), tol)[1]
     if -low > phi.n * (tol + _rounding_margin(phi)):
         assert not verdict
+
+
+@st.composite
+def selfadjoint_elements(draw):
+    """pairs, rep: the pairs of pair_sums (up to n^2) with their adjoints
+    (B_i*, A_i*), half the time with the first pair repeated with its A
+    times 1 + 1e-13, at weights log-uniform in [1e-10, 1]."""
+    n = draw(st.integers(2, 4))
+    pairs = draw(arrays(np.complex128, (draw(st.integers(1, n * n)), 2, n, n), elements=ENTRIES))
+    if draw(st.booleans()):
+        again = pairs[:1].copy()
+        again[:, 0] *= 1.0 + 1e-13
+        pairs = np.concatenate((pairs, again))
+    adjoints = np.conj(pairs[:, ::-1]).swapaxes(2, 3)
+    weights = 10.0 ** draw(arrays(np.float64, n, elements=st.floats(-10.0, 0.0)))
+    return np.concatenate((pairs, adjoints)), make_factor(n, weights)
+
+
+@PROPERTY_SETTINGS
+@given(selfadjoint_elements())
+def test_spectral_decompose_rebuilds_a_selfadjoint_element(case):
+    # no spectral projection misses the span of the frames, and the items
+    # rebuild the element up to the eigenvalues dropped at tol = 1e-9
+    pairs, rep = case
+    t = PairSumElement(rep, pairs)
+    m = materialize(t)
+    rebuilt = materialize(decomposition_element(spectral_decompose(t)))
+    assert np.max(np.abs(rebuilt - m)) <= 1e-9 + RTOL * rep.n**2 * (1.0 + _size(pairs))
