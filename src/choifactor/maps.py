@@ -28,7 +28,7 @@ from .errors import (
     NumericalFailure,
     RepMismatch,
 )
-from .factor import FactorRep, implementer_from_vector, make_factor, state_projection
+from .factor import FactorRep, implementer_from_vector, make_factor
 from .linalg import (
     _canonicalize,
     _check_tol,
@@ -94,10 +94,11 @@ def map_scale(phi: PairSumMap, z: complex) -> PairSumMap:
 
 
 def apply_map(phi: PairSumMap, c) -> np.ndarray:
+    """phi(C), or phi of each matrix in a stack of shape (..., n, n)."""
     c = as_complex(c)
-    if c.shape != (phi.n, phi.n):
+    if c.shape[-2:] != (phi.n, phi.n):
         raise DimensionMismatch(f"expected {phi.n}x{phi.n}, got {c.shape}")
-    return (phi.a @ c @ phi.b).sum(axis=0)
+    return (phi.a @ c[..., None, :, :] @ phi.b).sum(axis=-3)
 
 
 def transfer(phi: PairSumMap) -> np.ndarray:
@@ -213,17 +214,6 @@ def kraus_apply(kd: KrausDecomposition, c) -> np.ndarray:
     return (dagger(v) @ c @ v).sum(axis=0)
 
 
-def _blocks_as_rows(m: np.ndarray, n: int) -> np.ndarray:
-    # Row i*n + j of the n^2 by n^2 matrix m holds its block (i, j) read out
-    # row-major; an involution.
-    return m.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(m.shape)
-
-
-def _amplified(x: np.ndarray, n: int, t_rows: np.ndarray) -> np.ndarray:
-    # (identity (x) phi)(x), t_rows the transposed transfer matrix of phi
-    return _blocks_as_rows(_blocks_as_rows(x, n) @ t_rows, n)
-
-
 @dataclass(frozen=True)
 class ExtensionReport:
     """Outcome of sum_i (1(x)A_i) E (1(x)B_i) at the state projection E."""
@@ -233,15 +223,13 @@ class ExtensionReport:
     hermiticity_defect: float
 
 
-def _state_measured(phi: PairSumMap, rep: FactorRep, t_rows: np.ndarray,
-                    tol: float) -> tuple[bool, float, float]:
-    # _psd_split of E's output (identity (x) phi)(E), t_rows the transposed
-    # transfer matrix of phi
-    return _psd_split(_amplified(state_projection(rep)[1], phi.n, t_rows), tol)
+def _state_measured(phi: PairSumMap, rep: FactorRep, tol: float) -> tuple[bool, float, float]:
+    # _psd_split of E's output sum_i (1(x)A_i) E (1(x)B_i)
+    return _psd_split(state_sum(rep, phi.a, phi.b), tol)
 
 
-def _extension_verdict(phi: PairSumMap, rep: FactorRep, t_rows: np.ndarray,
-                       choi_low: float, choi_defect: float, tol: float) -> bool:
+def _extension_verdict(phi: PairSumMap, rep: FactorRep, choi_low: float, choi_defect: float,
+                       tol: float) -> bool:
     # extension_positivity_check(phi, tol=tol, rep=r).positive at r = rep
     # and, at weights other than the tracial ones, also at the tracial r,
     # read off the lowest eigenvalue choi_low of the computed Choi matrix's
@@ -258,16 +246,16 @@ def _extension_verdict(phi: PairSumMap, rep: FactorRep, t_rows: np.ndarray,
     # the w_max bound does, and one fails when the 1/n bound does.
     #
     # Computed: with beta = sum_i ||A_i||_F ||B_i||_F, ||choi||_F and
-    # ||transfer||_F are at most beta, and so is ||out||_F, as ||E|| = 1.
+    # ||out||_F are at most beta, as each frame (1(x)A_i) E (1(x)B_i) is.
     # Every rounding is a multiple of beta, with no assumption that the sums
     # do not cancel. gamma = 2 eps (dim + k) (dim + 1) bounds each of:
     # (a) the k-term sums of choi and its eigvalsh, which move choi_low and
-    # the defect by at most gamma beta; (b) E as stored and its product with
-    # the rounded transfer matrix, which move out by at most gamma beta; (c)
-    # the Hermitian split and eigvalsh of out, at most gamma beta. Either
-    # side needs w (a) + (b) + (c), and the defect 2 (a) + 2 (b) + (c), all
-    # within the margin 4 n gamma beta. A NaN or inf settles nothing (no
-    # comparison below holds), and at tol = 0 only the measurement passes a
+    # the defect by at most gamma beta; (b) the k-term frame sum of out,
+    # which moves out by at most gamma beta; (c) the Hermitian split and
+    # eigvalsh of out, at most gamma beta. Either side needs
+    # w (a) + (b) + (c), and the defect 2 (a) + 2 (b) + (c), all within the
+    # margin 4 n gamma beta. A NaN or inf settles nothing (no comparison
+    # below holds), and at tol = 0 only the measurement passes a
     # map with a nonzero term.
     dim = phi.n * phi.n
     norms = np.linalg.norm(phi.a, axis=(1, 2)) * np.linalg.norm(phi.b, axis=(1, 2))
@@ -279,7 +267,7 @@ def _extension_verdict(phi: PairSumMap, rep: FactorRep, t_rows: np.ndarray,
         return False
     tracial = make_factor(phi.n)
     reps = (rep,) if np.array_equal(rep.weights, tracial.weights) else (rep, tracial)
-    return all(_state_measured(phi, r, t_rows, tol)[0] for r in reps)
+    return all(_state_measured(phi, r, tol)[0] for r in reps)
 
 
 def extension_positivity_check(
@@ -290,17 +278,17 @@ def extension_positivity_check(
     """Evaluate the same pair-sum formula with coefficients lifted to
     1 (x) A_i acting on all of B(H), at the state projection E.
 
-    Block (i, j) of sum_i (1(x)A_i) E (1(x)B_i) is phi(E_ij), so the output
-    is the amplification (identity (x) phi)(E), computed with the transfer
-    matrix. It is positive exactly when phi is CP, being a congruence of
-    the Choi matrix. Reports whether the output is Hermitian and psd within
+    The output is materialized by state_sum. Block (i, j) of it is
+    phi(E_ij), so it is the amplification (identity (x) phi)(E), and it is
+    positive exactly when phi is CP, being a congruence of the Choi
+    matrix. Reports whether the output is Hermitian and psd within
     tol, its Hermitian part's lowest eigenvalue, and its defect
     max |out - out*|, under the package's one Hermiticity rule (see
     linalg). Raises ValueError when tol is not a finite number >= 0.
     """
     _check_tol(tol)
     rep = _resolve_rep(phi, rep)
-    positive, low, defect = _state_measured(phi, rep, transfer(phi).T, tol)
+    positive, low, defect = _state_measured(phi, rep, tol)
     return ExtensionReport(positive=positive, min_eigenvalue=low, hermiticity_defect=defect)
 
 
@@ -325,7 +313,8 @@ def check_cp(phi: PairSumMap, tol: float = 1e-9, rep: FactorRep | None = None) -
     (1) identity (x) phi preserves positivity on the state projection E;
     (2) the lifted pair-sum formula is positive on E;
     (3) Kraus extraction from the dual Choi operator succeeds and the
-        Kraus map has the transfer matrix of phi;
+        Kraus map has the Choi matrix of phi, within 10 max(tol, 1e-12)
+        max(1, ||choi||);
     (4) the dual Choi operator is psd;
     (5) the Choi matrix is psd.
 
@@ -341,8 +330,8 @@ def check_cp(phi: PairSumMap, tol: float = 1e-9, rep: FactorRep | None = None) -
     make_factor(n) when the weights differ from it.
 
     The Choi spectrum of (5), scaled by the weights and allowed its
-    rounding, settles that verdict where it can, and E's output is
-    measured through the transfer matrix only where it cannot. So (1) and
+    rounding, settles that verdict where it can, and E's output,
+    materialized by state_sum, is measured only where it cannot. So (1) and
     (2) are computed apart from (5) only where E is measured: a map with
     room to spare on either side of tol gets their verdict from the same
     eigenvalues as (5). No random probe is drawn, here or in
@@ -360,13 +349,12 @@ def check_cp(phi: PairSumMap, tol: float = 1e-9, rep: FactorRep | None = None) -
     """
     _check_tol(tol)
     rep = _resolve_rep(phi, rep)
-    t = transfer(phi)
     c = choi(phi)
     # an overflowed Choi matrix has no spectrum, and E's output, a congruence
     # of it, would be refused with the same error
     _require_finite("diagonalize", c)
     choi_ok, choi_low, choi_defect = _psd_split(c, tol)
-    ext_ok = _extension_verdict(phi, rep, t.T, choi_low, choi_defect, tol)
+    ext_ok = _extension_verdict(phi, rep, choi_low, choi_defect, tol)
 
     # one Hermitian split and one eigendecomposition serve (3) and (4)
     herm, _, hermitian = hermitian_part(dual_choi(phi, rep), tol)
@@ -382,9 +370,10 @@ def check_cp(phi: PairSumMap, tol: float = 1e-9, rep: FactorRep | None = None) -
     if dual_ok:
         kd = _kraus_cut(evals, evecs, scale, rep, tol)
         v = np.array(kd.ops, dtype=np.complex128).reshape(-1, phi.n, phi.n)
-        t_kraus = transfer(PairSumMap(phi.n, np.stack((dagger(v), v), axis=1)))
-        worst = float(np.max(np.abs(t_kraus - t)))
-        kraus_ok = worst <= scaled_tol(worst, 10.0 * max(tol, 1e-12), t)
+        # phi -> choi(phi) is injective (Choi), so equal Choi matrices mean equal maps
+        c_kraus = choi(PairSumMap(phi.n, np.stack((dagger(v), v), axis=1)))
+        worst = float(np.max(np.abs(c_kraus - c)))
+        kraus_ok = worst <= scaled_tol(worst, 10.0 * max(tol, 1e-12), c)
 
     verdicts = (ext_ok, ext_ok, kraus_ok, dual_ok, choi_ok)
     report = CpReport(

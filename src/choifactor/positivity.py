@@ -89,6 +89,13 @@ def _check_restarts(restarts: int) -> None:
         raise ValueError(f"restarts must be >= 1, got {restarts!r}")
 
 
+def _check_grid(n: int, resolution: int) -> None:
+    if n != 2:
+        raise UnsupportedDimension("the dense grid oracle is implemented for n = 2 only")
+    if resolution < 1:
+        raise ValueError(f"resolution must be >= 1, got {resolution!r}")
+
+
 def seesaw_product_min(
     d,
     restarts: int = 32,
@@ -156,11 +163,7 @@ def brute_product_min(d, resolution: int = 90) -> tuple[float, np.ndarray, np.nd
     operator out of floating point range raises NumericalFailure.
     """
     d = as_complex(d)
-    n = _side_dim(d)
-    if n != 2:
-        raise UnsupportedDimension("the dense grid oracle is implemented for n = 2 only")
-    if resolution < 1:
-        raise ValueError(f"resolution must be >= 1, got {resolution!r}")
+    _check_grid(_side_dim(d), resolution)
     # the grid minimizes over the Hermitian part, whatever the defect
     d4 = hermitian_part(d, np.inf)[0].reshape(2, 2, 2, 2)
 
@@ -189,8 +192,7 @@ def _direct_hermiticity_witness(
     # e_a, then (e_a + e_b)/sqrt(2) and (e_a + i e_b)/sqrt(2) for each b > a
     probes = np.array([v for a in range(phi.n) for v in [eye[a]] + [
         (eye[a] + z * eye[b]) / np.sqrt(2.0) for b in range(a + 1, phi.n) for z in (1, 1j)]])
-    # phi of every projection v v* at once, as apply_map computes each
-    outs = (phi.a @ (probes[:, :, None] * np.conj(probes)[:, None, :])[:, None] @ phi.b).sum(axis=1)
+    outs = apply_map(phi, probes[:, :, None] * np.conj(probes)[:, None, :])
     skews = (outs - dagger(outs)) / 2j
     _require_finite("take the operator norm", skews)
     # the first probe of largest skew part wins
@@ -233,11 +235,14 @@ def check_positive(
     input, which must show a negative output eigenvalue (else the verdict
     degrades to inconclusive). With oracle=True (n = 2 only) the grid
     search confirms or overrides the seesaw. Raises ValueError when
-    restarts < 1 or tol is not a finite number >= 0, whichever method
-    decides.
+    restarts < 1, tol is not a finite number >= 0, or oracle=True with
+    resolution < 1, and UnsupportedDimension when oracle=True at n != 2,
+    all before any work, whichever method would decide.
     """
     _check_restarts(restarts)
     _check_tol(tol)
+    if oracle:
+        _check_grid(phi.n, resolution)
     rep = _resolve_rep(phi, rep)
     d = dual_choi(phi, rep)
 
@@ -251,8 +256,6 @@ def check_positive(
     method = "seesaw"
 
     if oracle:
-        if phi.n != 2:
-            raise UnsupportedDimension("oracle confirmation needs n = 2")
         bval, bu, bv = brute_product_min(herm, resolution=resolution)
         if bval < value:
             value, u, v = bval, bu, bv

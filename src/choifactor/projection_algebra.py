@@ -255,8 +255,10 @@ def spectral_decompose(t: PairSumElement, tol: float = 1e-9) -> SpectralDecompos
     within 1e-8 * scale, must lie in the span of the frames of the input's
     terms, (1(x)A_i) E (1(x)B_j) = x_i y_j* with x_i = (1(x)A_i)x and
     y_j = (1(x)B_j*)x: NotInSpan carries |P - Q_X P Q_Y|_F if it exceeds
-    1e-8 * max(1, |P|_F), Q_X and Q_Y projecting onto span{x_i} and span{y_j}
-    with singular values up to max(n^2, k) * eps * sigma_0 cut, as lstsq does.
+    1e-8 * max(1, |P|_F) + n^2 * eps * scale / gap, Q_X and Q_Y projecting
+    onto span{x_i} and span{y_j} with singular values up to
+    max(n^2, k) * eps * sigma_0 cut, as lstsq does; scale is max(1, max |c|)
+    and gap the distance from P's eigenvalues to all others, dropped included.
     """
     herm, defect, hermitian = hermitian_part(materialize(t), tol)
     if not hermitian:
@@ -275,7 +277,10 @@ def spectral_decompose(t: PairSumElement, tol: float = 1e-9) -> SpectralDecompos
     for r in _cluster_runs(evals[keep], _SPECTRAL_CLUSTER_RTOL * scale):
         p = evecs[:, keep[r]] @ dagger(evecs[:, keep[r]])
         missed = float(np.linalg.norm(p - qx @ (dagger(qx) @ p @ qy) @ dagger(qy)))
-        if missed > _SPECTRAL_CLUSTER_RTOL * max(1.0, float(np.linalg.norm(p))):
+        # eigh leaves P's eigenvectors about dim eps scale / gap outside its range
+        gap = np.min(np.abs(np.delete(evals, keep[r])[:, None] - evals[keep[r]]), initial=np.inf)
+        slack = len(evals) * np.finfo(np.float64).eps * scale / gap
+        if missed > _SPECTRAL_CLUSTER_RTOL * max(1.0, float(np.linalg.norm(p))) + slack:
             raise NotInSpan(missed)
 
     return SpectralDecomposition(rep=t.rep, items=items)

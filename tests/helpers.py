@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from choifactor import PairSumElement, PairSumMap, extension_positivity_check, make_factor
+from choifactor import (PairSumElement, PairSumMap, extension_positivity_check,
+                        implementer_from_vector, make_factor)
+from choifactor.linalg import dagger
 
 
 def cgauss(rng, *shape):
@@ -90,4 +92,19 @@ def small_weight_elements(n, count=20, w0=1e-8):
         b = cgauss(rng, n * n, n, n)
         a = rng.choice([-1.0, 1.0], n * n)[:, None, None] * np.conj(b).swapaxes(1, 2)
         elements.append(PairSumElement(rep, np.stack((a, b), axis=1)))
+    return elements
+
+
+def near_tol_elements(n, c, count=20):
+    # count tracial elements |y_1><y_1| + c |y_2><y_2|, y_1 and y_2 the
+    # orthonormal columns of a Haar unitary (numpy seed 1), so that the
+    # eigenvalue c may lie just above tol next to a kernel
+    rng = np.random.default_rng(1)
+    rep = make_factor(n)
+    elements = []
+    for _ in range(count):
+        q, r = np.linalg.qr(cgauss(rng, n * n, 2))
+        s1, s2 = implementer_from_vector(rep, (q * (np.diag(r) / np.abs(np.diag(r)))).T)
+        terms = ((s1, dagger(s1)), (c * s2, dagger(s2)))
+        elements.append(PairSumElement(rep, terms))
     return elements

@@ -409,6 +409,20 @@ def test_cli_positive_oracle_flag():
     assert abs(doc["value"] - (-0.25)) < 1e-3
 
 
+def test_cli_positive_oracle_at_n_3_exits_2(tmp_path):
+    # refused whether or not the map preserves Hermiticity
+    from choifactor import trace_map
+
+    rng = np.random.default_rng(3)
+    non_hp = PairSumMap(3, ((rng.standard_normal((3, 3)), 1j * rng.standard_normal((3, 3))),))
+    for name, phi in (("trace", trace_map(3)), ("non_hp", non_hp)):
+        path = tmp_path / f"{name}_n3.json"
+        path.write_text(dumps(map_doc(phi, make_factor(3))), encoding="utf-8")
+        code, out, err = run_cli(["positive", str(path), "--oracle"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_cli_spectral_counts():
     code, out, _ = run_cli(["spectral", str(DATA / "transpose.json")])
     assert code == 0
@@ -444,6 +458,7 @@ def test_cli_subprocess_entrypoint():
         [sys.executable, "-m", "choifactor", "choi", str(DATA / "transpose.json")],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src")),
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

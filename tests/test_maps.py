@@ -61,6 +61,10 @@ def test_apply_empty_map_is_zero():
 def test_apply_rejects_wrong_shape():
     with pytest.raises(DimensionMismatch):
         apply_map(identity_map(2), np.eye(3))
+    with pytest.raises(DimensionMismatch):
+        apply_map(identity_map(2), np.zeros((3, 2, 3)))
+    with pytest.raises(DimensionMismatch):
+        apply_map(identity_map(2), np.zeros(2))
 
 
 def test_trace_map_action():
@@ -74,9 +78,13 @@ def test_transfer_matches_action(n):
     rng = np.random.default_rng(3 + n)
     phi = random_map(rng, n, 3)
     t = transfer(phi)
-    for _ in range(5):
-        c = cgauss(rng, n, n)
+    cs = np.array([cgauss(rng, n, n) for _ in range(5)])
+    for c in cs:
         assert np.abs((t @ c.reshape(-1)).reshape(n, n) - apply_map(phi, c)).max() < 1e-12
+    # a stack, also a nested one, gives each matrix's own bits
+    each = np.array([apply_map(phi, c) for c in cs])
+    assert np.array_equal(apply_map(phi, cs), each)
+    assert np.array_equal(apply_map(phi, cs.reshape(5, 1, n, n)), each.reshape(5, 1, n, n))
 
 
 def test_adjoint_swaps_sides():
@@ -366,6 +374,19 @@ def test_extension_check_matches_lifted_reference(n, weighted):
         assert abs(report.hermiticity_defect - defect) <= rtol * scale
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_extension_report_is_the_split_of_the_materialized_element(weighted):
+    # E's output is the lifted pair-sum as an element materializes it, bit for bit
+    rng = np.random.default_rng(70 + weighted)
+    for n in (2, 3, 4):
+        rep = make_factor(n, rng.uniform(0.2, 1.0, n)) if weighted else make_factor(n)
+        for phi in (random_map(rng, n, 3), random_cp_map(rng, n, 2), random_hp_map(rng, n, 3),
+                    _band_map(n, 2e-9)):
+            report = extension_positivity_check(phi, rep=rep)
+            want = linalg._psd_split(materialize(PairSumElement(rep, phi.terms)), 1e-9)
+            assert (report.positive, report.min_eigenvalue, report.hermiticity_defect) == want
+
+
 
 @pytest.mark.parametrize("norm, defect, positive", [
     (1e-2, 1e-11, True), (1e-2, 5e-9, False),  # below 1: max |out - out*| <= tol
@@ -538,9 +559,9 @@ def measured(monkeypatch):
     calls = []
     measure = maps._state_measured
 
-    def counting(phi, rep, t_rows, tol):
+    def counting(phi, rep, tol):
         calls.append(rep.tracial)
-        return measure(phi, rep, t_rows, tol)
+        return measure(phi, rep, tol)
 
     monkeypatch.setattr(maps, "_state_measured", counting)
     return calls
@@ -643,6 +664,28 @@ def _normalized_kraus_map(rng, n, k):
     return map_scale(random_cp_map(rng, n, k), 1.0 / (k * n))
 
 
+def test_check_cp_builds_no_transfer_matrix(monkeypatch):
+    # E is materialized by state_sum, and the Kraus check compares Choi matrices
+    calls = []
+    build = maps.transfer
+
+    def counting(phi):
+        calls.append(phi)
+        return build(phi)
+
+    monkeypatch.setattr(maps, "transfer", counting)
+    rng = np.random.default_rng(175)
+    for n in (2, 4, 6):
+        for rep in (make_factor(n), make_factor(n, rng.uniform(0.2, 1.0, n))):
+            # Kraus, transpose-type, band, and un-normalized maps, one of
+            # them scaled until E has to be measured
+            for phi in (_normalized_kraus_map(rng, n, n), _transpose_type(rng, n),
+                        _band_map(n, 1e-9), random_cp_map(rng, n, 3),
+                        map_scale(identity_map(n), 1e6)):
+                _cp_report(phi, rep)
+    assert calls == []
+
+
 class _Unsettled(Exception):
     pass
 
@@ -661,7 +704,7 @@ def _settled(phi, tol, rep=None, low=None, defect=None):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(maps, "_state_measured", unsettled)
         try:
-            return maps._extension_verdict(phi, rep, transfer(phi).T, low, defect, tol)
+            return maps._extension_verdict(phi, rep, low, defect, tol)
         except _Unsettled:
             return None
 

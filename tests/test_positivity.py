@@ -24,6 +24,7 @@ from choifactor import (
     trace_map,
     transpose_map,
 )
+from choifactor import positivity
 from choifactor.linalg import hermitian_part
 from helpers import cgauss, random_hermitian, random_hp_map, random_psd, reference_canonical_phase
 
@@ -168,9 +169,20 @@ def test_check_positive_oracle():
     assert abs(cert.value - (-0.25)) < 1e-3
 
 
-def test_check_positive_oracle_wrong_dimension():
-    with pytest.raises(UnsupportedDimension):
-        check_positive(trace_map(3), oracle=True)
+def test_check_positive_oracle_wrong_dimension(monkeypatch):
+    # refused before any work, on the see-saw path and the direct one alike
+    def refuse(*args, **kwargs):
+        raise AssertionError("work was done before the refusal")
+
+    for name in ("dual_choi", "seesaw_product_min", "_direct_hermiticity_witness"):
+        monkeypatch.setattr(positivity, name, refuse)
+    rng = np.random.default_rng(152)
+    non_hp = PairSumMap(3, ((cgauss(rng, 3, 3), cgauss(rng, 3, 3)),))
+    for phi in (trace_map(3), non_hp):
+        with pytest.raises(UnsupportedDimension):
+            check_positive(phi, oracle=True)
+    with pytest.raises(ValueError, match="resolution"):
+        check_positive(half_trace_minus_id(), oracle=True, resolution=0)
 
 
 def test_check_positive_weighted_rep():

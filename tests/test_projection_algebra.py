@@ -28,7 +28,8 @@ from choifactor import (
 )
 from choifactor import projection_algebra
 from choifactor.factor import apply_factor_to_state
-from helpers import cgauss, matrix_unit, random_selfadjoint_terms, small_weight_elements
+from helpers import (cgauss, matrix_unit, near_tol_elements, random_selfadjoint_terms,
+                     small_weight_elements)
 
 TRACIAL2 = make_factor(2)
 WEIGHTED2 = make_factor(2, [0.25, 0.75])
@@ -436,6 +437,18 @@ def test_spectral_decomposes_sign_mixed_elements_at_a_small_weight(n):
         m = materialize(t)
         rebuilt = materialize(decomposition_element(spectral_decompose(t)))
         assert np.max(np.abs(rebuilt - m)) <= 1e-9 * max(1.0, float(np.max(np.abs(m))))
+
+
+@pytest.mark.parametrize("c", [1e-8, 3e-9, 1.5e-9])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_spectral_keeps_an_eigenvalue_just_above_tol_next_to_a_kernel(n, c):
+    # eigh leaves the eigenvector of c about eps / c outside its eigenspace,
+    # so the span check's bound must grow with that rounding
+    for t in near_tol_elements(n, c):
+        sd = spectral_decompose(t, tol=1e-9)
+        assert [coeff for coeff, _ in sd.items] == pytest.approx([1.0, c], rel=1e-6)
+        rebuilt = materialize(decomposition_element(sd))
+        assert np.max(np.abs(rebuilt - materialize(t))) <= 1e-9
 
 
 def test_spectral_rejects_non_selfadjoint():
