@@ -246,7 +246,7 @@ def _extension_verdict(phi: PairSumMap, rep: FactorRep, choi_low: float, choi_de
     # the w_max bound does, and one fails when the 1/n bound does.
     #
     # Computed: with beta = sum_i ||A_i||_F ||B_i||_F, ||choi||_F and
-    # ||out||_F are at most beta, as each frame (1(x)A_i) E (1(x)B_i) is.
+    # ||out||_F are at most beta, term i of either at most ||A_i||_F ||B_i||_F.
     # Every rounding is a multiple of beta, with no assumption that the sums
     # do not cancel. gamma = 2 eps (dim + k) (dim + 1) bounds each of:
     # (a) the k-term sums of choi and its eigvalsh, which move choi_low and
