@@ -18,6 +18,7 @@ reshape(C, -1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,7 +117,7 @@ def adjoint_map(phi: PairSumMap) -> PairSumMap:
 
 def choi(phi: PairSumMap) -> np.ndarray:
     """sum_ij e_ij (x) phi(e_ij)."""
-    return phi.n * state_sum(make_factor(phi.n, "tracial"), phi.a, phi.b)
+    return phi.n * state_sum(_tracial(phi.n), phi.a, phi.b)
 
 
 def dual_choi(phi: PairSumMap, rep: FactorRep | None = None) -> np.ndarray:
@@ -129,9 +130,16 @@ def dual_choi(phi: PairSumMap, rep: FactorRep | None = None) -> np.ndarray:
     return state_sum(rep, phi.b, phi.a)
 
 
+@lru_cache(maxsize=16)
+def _tracial(n: int) -> FactorRep:
+    # the tracial representation, built once per n: a FactorRep and its
+    # weights are immutable, so every caller can share it
+    return make_factor(n, "tracial")
+
+
 def _resolve_rep(phi: PairSumMap, rep: FactorRep | None) -> FactorRep:
     if rep is None:
-        return make_factor(phi.n, "tracial")
+        return _tracial(phi.n)
     if rep.n != phi.n:
         raise RepMismatch(f"map dimension {phi.n} vs representation dimension {rep.n}")
     return rep
@@ -199,13 +207,20 @@ def _kraus_cut(evals: np.ndarray, evecs: np.ndarray, scale: float, rep: FactorRe
     # scale) of a dual Choi operator's Hermitian part, lowest eigenvalue not
     # below -tol; only the eigenvectors kept need their canonical basis and phase
     _canonicalize(evals, evecs, scale, above=tol)
-    kept = ~(evals <= tol)
-    cs = evals[kept]
-    ops = np.sqrt(cs)[:, None, None] * implementer_from_vector(rep, evecs[:, kept].T)
+    cs, ops = _kraus_ops(evals, evecs, rep, tol)
     # descending coefficient, ties broken by the real and then the imaginary entries
     flat = ops.reshape(len(cs), rep.n * rep.n)
     order = np.lexsort(np.vstack((flat.imag.T[::-1], flat.real.T[::-1], -cs)))
     return KrausDecomposition(ops=tuple(ops[order]), coefficients=tuple(cs[order].tolist()))
+
+
+def _kraus_ops(evals: np.ndarray, evecs: np.ndarray, rep: FactorRep,
+               tol: float) -> tuple[np.ndarray, np.ndarray]:
+    # the eigenvalues c_j not <= tol and the (k, n, n) stack of
+    # V_j = sqrt(c_j) S_j, (1(x)S_j) x the eigenvector y_j, in the order given
+    kept = ~(evals <= tol)
+    cs = evals[kept]
+    return cs, np.sqrt(cs)[:, None, None] * implementer_from_vector(rep, evecs[:, kept].T)
 
 
 def kraus_apply(kd: KrausDecomposition, c) -> np.ndarray:
@@ -265,7 +280,7 @@ def _extension_verdict(phi: PairSumMap, rep: FactorRep, choi_low: float, choi_de
         return True
     if (1.0 / phi.n) * -choi_low - margin > tol:
         return False
-    tracial = make_factor(phi.n)
+    tracial = _tracial(phi.n)
     reps = (rep,) if np.array_equal(rep.weights, tracial.weights) else (rep, tracial)
     return all(_state_measured(phi, r, tol)[0] for r in reps)
 
@@ -314,7 +329,9 @@ def check_cp(phi: PairSumMap, tol: float = 1e-9, rep: FactorRep | None = None) -
     (2) the lifted pair-sum formula is positive on E;
     (3) Kraus extraction from the dual Choi operator succeeds and the
         Kraus map has the Choi matrix of phi, within 10 max(tol, 1e-12)
-        max(1, ||choi||);
+        max(1, ||choi||); the operators are cut from the eigendecomposition
+        of (4) as it stands, without kraus_decompose's canonical basis,
+        phase and order, none of which changes sum_j V_j* C V_j;
     (4) the dual Choi operator is psd;
     (5) the Choi matrix is psd.
 
@@ -359,7 +376,7 @@ def check_cp(phi: PairSumMap, tol: float = 1e-9, rep: FactorRep | None = None) -
     # one Hermitian split and one eigendecomposition serve (3) and (4)
     herm, _, hermitian = hermitian_part(dual_choi(phi, rep), tol)
     if hermitian:
-        evals, evecs, scale = _descending_eigh(herm)
+        evals, evecs, _ = _descending_eigh(herm)
         dual_low = float(evals[-1])
     else:
         # no Kraus operators to cut, so only the lowest eigenvalue is needed
@@ -368,10 +385,11 @@ def check_cp(phi: PairSumMap, tol: float = 1e-9, rep: FactorRep | None = None) -
     dual_ok = hermitian and dual_low >= -tol
     kraus_ok = False
     if dual_ok:
-        kd = _kraus_cut(evals, evecs, scale, rep, tol)
-        v = np.array(kd.ops, dtype=np.complex128).reshape(-1, phi.n, phi.n)
+        # sum_j V_j* C V_j does not depend on the basis, phase or order of
+        # the V_j inside an eigenspace, so they need not be canonical here
+        _, v = _kraus_ops(evals, evecs, rep, tol)
         # phi -> choi(phi) is injective (Choi), so equal Choi matrices mean equal maps
-        c_kraus = choi(PairSumMap(phi.n, np.stack((dagger(v), v), axis=1)))
+        c_kraus = phi.n * state_sum(_tracial(phi.n), dagger(v), v)
         worst = float(np.max(np.abs(c_kraus - c)))
         kraus_ok = worst <= scaled_tol(worst, 10.0 * max(tol, 1e-12), c)
 

@@ -38,6 +38,9 @@ from .linalg import (TOL_ALG, _canonicalize, _cluster_runs, _descending_eigh, _g
 # Relative gap below which kept eigenvalues share one spectral projection.
 _SPECTRAL_CLUSTER_RTOL = 1e-8
 
+# Terms whose frames state_sum holds at once.
+_STATE_SUM_CHUNK = 64
+
 
 def frozen_terms(n: int, terms) -> tuple[np.ndarray, np.ndarray]:
     """Validated read-only C-contiguous (k, n, n) stacks a and b of the
@@ -144,9 +147,19 @@ def state_sum(rep: FactorRep, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The terms are added in index order, as a sum over the term axis does: a
     matmul over that axis sums in another order and changes the last digits
-    of the golden outputs.
+    of the golden outputs. More than _STATE_SUM_CHUNK = 64 terms are summed
+    a chunk at a time, the running sum added into the first frame of the
+    next chunk: the same additions in the same order, so the same bits.
+    At most two chunks' frames, 2 * 64 * n^4 complex entries (8 MiB at
+    n = 8), are held at once, whatever k is.
     """
-    return _frames(rep, a, b).sum(axis=0).reshape(rep.n**2, rep.n**2)
+    chunk = _STATE_SUM_CHUNK
+    frames = _frames(rep, a[:chunk], b[:chunk])
+    for start in range(chunk, len(a), chunk):
+        total = frames.sum(axis=0)
+        frames = _frames(rep, a[start:start + chunk], b[start:start + chunk])
+        frames[0] += total
+    return frames.sum(axis=0).reshape(rep.n**2, rep.n**2)
 
 
 def materialize(e: PairSumElement) -> np.ndarray:

@@ -1104,3 +1104,91 @@ def test_adjoint_choi_symmetry_does_not_call_an_overflowed_choi_hermitian():
         report = adjoint_choi_symmetry(PairSumMap(2, ((big, big),)))
     assert not report.choi_hermitian
     assert report.conjugation_error is None
+
+
+# ------------------------------------- the Kraus check's cut and the tracial rep
+
+
+def _kraus_check_maps(rng, n, rep):
+    # Kraus, band (inside and above the tolerance band), identity, trace
+    # (a fully degenerate dual Choi spectrum) and transpose-type maps
+    return [_normalized_kraus_map(rng, n, n), _band_map(n, 1e-11), _band_map(n, 2e-9),
+            identity_map(n), trace_map(n), _transpose_type(rng, n),
+            _orthogonal_kraus_map(rng, rep, np.ones(n + 1))]
+
+
+def test_check_cp_cuts_no_canonical_kraus_operators_and_builds_no_rep(monkeypatch):
+    rng = np.random.default_rng(191)
+    cases = [(phi, rep) for n in (2, 3, 4)
+             for rep in (make_factor(n), make_factor(n, rng.uniform(0.2, 1.0, n)))
+             for phi in _kraus_check_maps(rng, n, rep)]
+    for n in (2, 3, 4):
+        check_cp(identity_map(n))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("check_cp reached a canonical Kraus cut or built a rep")
+
+    for name in ("_canonicalize", "_kraus_cut", "make_factor"):
+        monkeypatch.setattr(maps, name, refused)
+    kraus_found = 0
+    for phi, rep in cases:
+        kraus_found += _cp_report(phi, rep).kraus_exists
+    # the Kraus, identity, trace and orthogonal Kraus maps at both weightings
+    assert kraus_found >= 4 * 2 * 3
+
+
+def _canonical_kraus_verdict(phi, rep, tol):
+    # check (3) on the canonical operators kraus_decompose returns
+    try:
+        kd = kraus_decompose(phi, rep, tol)
+    except NotPositive:
+        return False
+    v = np.array(kd.ops, dtype=np.complex128).reshape(-1, phi.n, phi.n)
+    c = choi(phi)
+    worst = float(np.max(np.abs(choi(PairSumMap(phi.n, np.stack((v.conj().swapaxes(1, 2), v),
+                                                                 axis=1))) - c)))
+    return worst <= linalg.scaled_tol(worst, 10.0 * max(tol, 1e-12), c)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_kraus_check_gives_the_verdict_of_the_canonical_cut(n):
+    rng = np.random.default_rng(193 + n)
+    tol = 1e-9
+    rotated = 0
+    for rep in (make_factor(n), make_factor(n, rng.uniform(0.2, 1.0, n))):
+        cases = [trace_map(n), _orthogonal_kraus_map(rng, rep, np.ones(n + 1)),
+                 _orthogonal_kraus_map(rng, rep, np.full(n * n, 0.5))]
+        cases += [_band_map(n, t) for t in np.geomspace(1.1 * tol, 0.99 * n * tol, 5)]
+        for phi in cases:
+            assert _cp_report(phi, rep, tol=tol).kraus_exists == _canonical_kraus_verdict(phi, rep,
+                                                                                          tol)
+            # count the maps whose canonical cut differs from the one check_cp makes
+            herm, _, _ = linalg.hermitian_part(dual_choi(phi, rep), tol)
+            evals, evecs, _ = linalg._descending_eigh(herm)
+            if evals[-1] >= -tol:
+                _, raw = maps._kraus_ops(evals, evecs, rep, tol)
+                canonical = np.array(kraus_decompose(phi, rep, tol).ops).reshape(raw.shape)
+                rotated += not np.array_equal(raw, canonical)
+    # at least trace_map at the tracial weights and both orthogonal Kraus
+    # maps at both weightings
+    assert rotated >= 5
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_cached_tracial_rep_gives_the_bytes_of_a_fresh_one(n):
+    rng = np.random.default_rng(197 + n)
+    for phi in (random_cp_map(rng, n, 2), random_map(rng, n, 3), trace_map(n)):
+        fresh = make_factor(n)
+        assert choi(phi).tobytes() == (n * projection_algebra.state_sum(fresh, phi.a,
+                                                                        phi.b)).tobytes()
+        assert dual_choi(phi).tobytes() == dual_choi(phi, fresh).tobytes()
+    phi = random_cp_map(rng, n, 3)
+    cached, explicit = kraus_decompose(phi), kraus_decompose(phi, make_factor(n))
+    assert cached.coefficients == explicit.coefficients
+    assert [v.tobytes() for v in cached.ops] == [v.tobytes() for v in explicit.ops]
+    assert make_factor(n) is not make_factor(n)
+    assert maps._tracial(n) is maps._tracial(n)
+    weights = maps._tracial(n).weights
+    assert not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0] = 0.5

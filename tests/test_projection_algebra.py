@@ -520,3 +520,45 @@ def test_rank_one_implementer_takes_no_opnorm(monkeypatch):
         with pytest.raises(NotRankOneProjection):
             rank_one_implementer(identity_element(rep))
     assert calls == []
+
+
+def _sequential_state_sum(rep, a, b):
+    # every frame added in index order onto zeros, one at a time
+    left = apply_factor_to_state(rep, a)
+    right = np.conj(apply_factor_to_state(rep, np.conj(b).swapaxes(-1, -2)))
+    out = np.zeros((rep.n**2, rep.n**2), dtype=np.complex128)
+    for x, y in zip(left, right):
+        out += np.outer(x, y)
+    return out
+
+
+@pytest.mark.parametrize("k", [0, 1, 64, 65, 130, 200, 1024])
+def test_state_sum_in_chunks_keeps_the_bits_of_one_sequential_sum(k):
+    rng = np.random.default_rng(211 + k)
+    rep = make_factor(3, [0.2, 0.3, 0.5])
+    a, b = cgauss(rng, k, 3, 3), cgauss(rng, k, 3, 3)
+    # zeros of either sign in some terms
+    a[::7] = np.where(rng.random((len(a[::7]), 3, 3)) < 0.5, -0.0, a[::7])
+    want = _sequential_state_sum(rep, a, b)
+    assert projection_algebra.state_sum(rep, a, b).tobytes() == want.tobytes()
+
+
+def test_materialize_holds_one_chunk_of_frames_at_a_time():
+    import tracemalloc
+
+    rng = np.random.default_rng(223)
+    n = 8
+    e = PairSumElement(make_factor(n), tuple((cgauss(rng, n, n), cgauss(rng, n, n))
+                                             for _ in range(32)))
+    big = element_product(e, e)
+    assert len(big) == 1024
+    tracemalloc.start()
+    try:
+        materialize(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two chunks' n^4-entry complex frames (one chunk's are freed only once
+    # the next chunk's are built), with room for the running sum and the
+    # per-chunk vectors; all 1024 frames at once would be 16 chunks' worth
+    assert peak <= 3 * projection_algebra._STATE_SUM_CHUNK * n**4 * 16
