@@ -1,6 +1,7 @@
 """Regenerate the test corpus and the golden CLI outputs.
 
-Run from the repository root:
+Run from the repository root; choifactor is imported from this checkout's
+src/:
 
     python3 scripts/make_goldens.py            # rewrite tests/data
     python3 scripts/make_goldens.py --check    # compare only, write nothing
@@ -28,7 +29,10 @@ import tempfile
 
 import numpy as np
 
-from choifactor import (
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from choifactor import (  # noqa: E402
     PairSumMap,
     check_positive,
     choi,
@@ -41,9 +45,9 @@ from choifactor import (
     trace_map,
     transpose_map,
 )
-from choifactor.cli import main as cli_main
+from choifactor.cli import main as cli_main  # noqa: E402
 
-DATA = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data"
+DATA = ROOT / "tests" / "data"
 GOLDEN = DATA / "golden"
 
 COMMANDS = {

@@ -1,10 +1,18 @@
 """Print one SHA-256 digest per report kind over a fixed seeded case set.
 
-Run from the repository root (with choifactor importable, e.g. installed
-or with PYTHONPATH=src):
+Run from the repository root; choifactor is imported from this checkout's
+src/:
 
     python3 scripts/report_digest.py
     OPENBLAS_NUM_THREADS=2 python3 scripts/report_digest.py
+    python3 scripts/report_digest.py --check    # compare with the record
+
+scripts/report_digests.txt records the eight lines. With --check they are
+compared with it line by line instead of printed; every line that differs
+or has no counterpart is listed, and the exit status is 1 if there is
+any, else 0.
+A change meant to move a digest rewrites the record with
+`python3 scripts/report_digest.py > scripts/report_digests.txt`.
 
 The cases are random, completely positive, Hermiticity-preserving,
 transpose-type, rank-one, equal-weight orthogonal Kraus and near-boundary
@@ -53,12 +61,20 @@ same eight lines before and after; compare the output of two checkouts
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import sys
+from itertools import zip_longest
+from pathlib import Path
 
 import numpy as np
 
-from choifactor import (
+HERE = Path(__file__).resolve().parent
+RECORD = HERE / "report_digests.txt"
+sys.path.insert(0, str(HERE.parent / "src"))
+
+from choifactor import (  # noqa: E402
     InternalDisagreement,
     NotPositive,
     ChoiFactorError,
@@ -242,7 +258,8 @@ def _formats_bytes(phi, rep) -> bytes:
     return "\0".join(texts).encode() + _terms_bytes(phi_read) + rep_read.weights.tobytes()
 
 
-def main() -> int:
+def digest_lines() -> list[str]:
+    """One line per report kind: its name, record count and SHA-256."""
     kinds = ("check_cp", "extension", "kraus", "not_positive", "positive", "spectral", "algebra",
              "formats")
     digests = {kind: hashlib.sha256() for kind in kinds}
@@ -309,8 +326,34 @@ def main() -> int:
         kd = kraus_decompose(cp, rep)
         record("algebra", f"{label} kraus_apply", kraus_apply(kd, c).tobytes())
 
-    for kind, digest in digests.items():
-        print(f"{kind:<13} {counts[kind]:>4}  {digest.hexdigest()}")
+    return [f"{kind:<13} {counts[kind]:>4}  {digest.hexdigest()}"
+            for kind, digest in digests.items()]
+
+
+def check(lines: list[str]) -> int:
+    recorded = RECORD.read_text(encoding="utf-8").splitlines()
+    differ = [(want, got) for want, got in zip_longest(recorded, lines, fillvalue="(none)")
+              if want != got]
+    for want, got in differ:
+        print(f"differs: recorded {want}")
+        print(f"         computed {got}")
+    print(f"{len(lines)} digests computed, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help=f"compare with {RECORD.relative_to(HERE.parent)} instead of printing; "
+             "exit 1 on any difference",
+    )
+    args = parser.parse_args()
+    lines = digest_lines()
+    if args.check:
+        return check(lines)
+    print("\n".join(lines))
     return 0
 
 

@@ -49,9 +49,17 @@ class FactorRep:
 
     @cached_property
     def state_vector(self) -> np.ndarray:
-        x = np.diag(np.sqrt(self.weights)).reshape(-1).astype(np.complex128)
+        x = np.diag(self._sqrt_weights).reshape(-1).astype(np.complex128)
         x.setflags(write=False)
         return x
+
+    @cached_property
+    def _sqrt_weights(self) -> np.ndarray:
+        # sqrt(weights), read-only: the diagonal of x, which every map between
+        # vectors and the matrices implementing them scales by
+        s = np.sqrt(self.weights)
+        s.setflags(write=False)
+        return s
 
     def same_as(self, other: "FactorRep") -> bool:
         return self.n == other.n and bool(
@@ -117,7 +125,7 @@ def apply_factor_to_state(rep: FactorRep, a) -> np.ndarray:
     a = as_complex(a)
     if a.shape[-2:] != (rep.n, rep.n):
         raise DimensionMismatch(f"expected {rep.n}x{rep.n}, got {a.shape}")
-    return (np.sqrt(rep.weights)[:, None] * a.swapaxes(-1, -2)).reshape(a.shape[:-2] + (rep.n**2,))
+    return (rep._sqrt_weights[:, None] * a.swapaxes(-1, -2)).reshape(a.shape[:-2] + (rep.n**2,))
 
 
 def implementer_from_vector(rep: FactorRep, y) -> np.ndarray:
@@ -131,7 +139,7 @@ def implementer_from_vector(rep: FactorRep, y) -> np.ndarray:
     if y.shape[-1:] != (rep.n * rep.n,):
         raise DimensionMismatch(f"expected length {rep.n * rep.n}, got shape {y.shape}")
     ymat = y.reshape(y.shape[:-1] + (rep.n, rep.n))
-    return ymat.swapaxes(-1, -2) * (1.0 / np.sqrt(rep.weights))
+    return ymat.swapaxes(-1, -2) * (1.0 / rep._sqrt_weights)
 
 
 def modular_conjugate(rep: FactorRep, v) -> np.ndarray:

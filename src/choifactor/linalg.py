@@ -46,7 +46,7 @@ def kron(a, b) -> np.ndarray:
 def _require_finite(action: str, *arrays: np.ndarray) -> None:
     # LAPACK given an inf or NaN entry prints to stdout, fails or returns
     # made-up numbers, so every call into it is guarded here first
-    if not all(np.all(np.isfinite(a)) for a in arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
         raise NumericalFailure(f"cannot {action}: entries out of floating point range")
 
 
@@ -68,9 +68,12 @@ def opnorm(m) -> float:
 
 def _hermitian_split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # (m + m*)/2 and max |m - m*| over the last two axes, for one matrix or
-    # a stack of them
-    adj = dagger(m)
-    return (m + adj) / 2.0, np.max(np.abs(m - adj), axis=(-2, -1), initial=0.0)
+    # a stack of them; the adjoint is made C-ordered, which the sum and the
+    # difference read faster than the transposed view dagger gives
+    adj = np.conjugate(m.swapaxes(-1, -2), order="C")
+    herm = m + adj
+    herm /= 2.0
+    return herm, np.abs(m - adj).max(axis=(-2, -1), initial=0.0)
 
 
 def hermiticity_defect(m) -> float:
@@ -172,7 +175,9 @@ def _descending_eigh(herm: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     # entry that is not a finite number
     _require_finite("diagonalize", herm)
     w, v = np.linalg.eigh(herm)
-    scale = max(1.0, float(np.max(np.abs(w), initial=0.0)))
+    # eigh sorts ascending, so max |eigenvalue| is -w[0] or w[-1]; the
+    # reversed copies keep positive strides, on which matmul calls BLAS
+    scale = max(1.0, float(-w[0]), float(w[-1])) if len(w) else 1.0
     return w[::-1].copy(), v[:, ::-1].copy(), scale
 
 

@@ -29,7 +29,7 @@ from .errors import (
     NumericalFailure,
     RepMismatch,
 )
-from .factor import FactorRep, implementer_from_vector, make_factor
+from .factor import FactorRep, make_factor
 from .linalg import (
     _canonicalize,
     _check_tol,
@@ -44,6 +44,8 @@ from .linalg import (
     scaled_tol,
 )
 from .projection_algebra import TermStacks, state_sum
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -217,10 +219,13 @@ def _kraus_cut(evals: np.ndarray, evecs: np.ndarray, scale: float, rep: FactorRe
 def _kraus_ops(evals: np.ndarray, evecs: np.ndarray, rep: FactorRep,
                tol: float) -> tuple[np.ndarray, np.ndarray]:
     # the eigenvalues c_j not <= tol and the (k, n, n) stack of
-    # V_j = sqrt(c_j) S_j, (1(x)S_j) x the eigenvector y_j, in the order given
+    # V_j = sqrt(c_j) S_j, (1(x)S_j) x the eigenvector y_j, in the order given;
+    # S_j = Y_j^T diag(w)^-1/2 as implementer_from_vector forms it, without
+    # its checks of what eigh returned
     kept = ~(evals <= tol)
     cs = evals[kept]
-    return cs, np.sqrt(cs)[:, None, None] * implementer_from_vector(rep, evecs[:, kept].T)
+    ys = evecs[:, kept].T.reshape(len(cs), rep.n, rep.n)
+    return cs, np.sqrt(cs)[:, None, None] * (ys.swapaxes(-1, -2) * (1.0 / rep._sqrt_weights))
 
 
 def kraus_apply(kd: KrausDecomposition, c) -> np.ndarray:
@@ -273,10 +278,15 @@ def _extension_verdict(phi: PairSumMap, rep: FactorRep, choi_low: float, choi_de
     # below holds), and at tol = 0 only the measurement passes a
     # map with a nonzero term.
     dim = phi.n * phi.n
-    norms = np.linalg.norm(phi.a, axis=(1, 2)) * np.linalg.norm(phi.b, axis=(1, 2))
-    gamma = 2.0 * np.finfo(np.float64).eps * (dim + len(phi)) * (dim + 1)
-    margin = 4.0 * phi.n * gamma * np.sum(norms)
-    if rep.weights.max() * np.max((0.0, -choi_low, choi_defect)) + margin <= tol:
+    # the Frobenius norms as np.linalg.norm(., axis=(1, 2)) computes them
+    fro_a, fro_b = (np.sqrt(np.add.reduce((s.conj() * s).real, axis=(1, 2)))
+                    for s in (phi.a, phi.b))
+    gamma = 2.0 * _EPS * (dim + len(phi)) * (dim + 1)
+    margin = 4.0 * phi.n * gamma * (fro_a * fro_b).sum()
+    # w_max max(0, -choi_low, choi_defect) + margin <= tol, one comparison
+    # per entry of the max, so that a NaN in any of them fails it
+    w_max = rep.weights.max()
+    if margin <= tol and w_max * -choi_low + margin <= tol and w_max * choi_defect + margin <= tol:
         return True
     if (1.0 / phi.n) * -choi_low - margin > tol:
         return False
@@ -390,7 +400,7 @@ def check_cp(phi: PairSumMap, tol: float = 1e-9, rep: FactorRep | None = None) -
         _, v = _kraus_ops(evals, evecs, rep, tol)
         # phi -> choi(phi) is injective (Choi), so equal Choi matrices mean equal maps
         c_kraus = phi.n * state_sum(_tracial(phi.n), dagger(v), v)
-        worst = float(np.max(np.abs(c_kraus - c)))
+        worst = float(np.abs(c_kraus - c).max())
         kraus_ok = worst <= scaled_tol(worst, 10.0 * max(tol, 1e-12), c)
 
     verdicts = (ext_ok, ext_ok, kraus_ok, dual_ok, choi_ok)

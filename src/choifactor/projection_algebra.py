@@ -38,8 +38,8 @@ from .linalg import (TOL_ALG, _canonicalize, _cluster_runs, _descending_eigh, _g
 # Relative gap below which kept eigenvalues share one spectral projection.
 _SPECTRAL_CLUSTER_RTOL = 1e-8
 
-# Terms whose frames state_sum holds at once.
-_STATE_SUM_CHUNK = 64
+# Bytes of frames state_sum holds per chunk of terms.
+_STATE_SUM_CHUNK_BYTES = 1 << 20
 
 
 def frozen_terms(n: int, terms) -> tuple[np.ndarray, np.ndarray]:
@@ -134,26 +134,34 @@ def element_add(e1: PairSumElement, e2: PairSumElement) -> PairSumElement:
 
 def _frames(rep: FactorRep, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # row i: the rank-one operator |(1(x)A_i)x><(1(x)B_i*)x|, flattened, with
-    # -0 entries made +0 as in a sum that starts from zero
-    left = apply_factor_to_state(rep, a)
-    right = np.conj(apply_factor_to_state(rep, dagger(b)))
-    frames = (left[:, :, None] * right[:, None, :]).reshape(len(a), left.shape[1] ** 2)
+    # -0 entries made +0 as in a sum that starts from zero. a and b are
+    # complex (k, n, n) stacks, so the vectors are formed here, unchecked:
+    # (1(x)A)x is apply_factor_to_state's sqrt(w)[:, None] * A^T, and the
+    # conjugate of (1(x)B*)x is sqrt(w)[:, None] * B, which differs from
+    # conjugating that product only in the sign of zero entries; a frame
+    # entry such a sign changes is itself a zero, which the +0 makes +0
+    s = rep._sqrt_weights[:, None]
+    dim = rep.n * rep.n
+    left = (s * a.swapaxes(-1, -2)).reshape(len(a), dim)
+    right = (s * b).reshape(len(b), dim)
+    frames = (left[:, :, None] * right[:, None, :]).reshape(len(a), dim * dim)
     return np.add(frames, 0.0, out=frames)
 
 
 def state_sum(rep: FactorRep, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dense n^2 by n^2 matrix of sum_i (1 (x) A_i) E (1 (x) B_i) over rep,
-    for stacks a and b of shape (k, n, n).
+    for complex stacks a and b of shape (k, n, n), which are not checked.
 
     The terms are added in index order, as a sum over the term axis does: a
     matmul over that axis sums in another order and changes the last digits
-    of the golden outputs. More than _STATE_SUM_CHUNK = 64 terms are summed
-    a chunk at a time, the running sum added into the first frame of the
-    next chunk: the same additions in the same order, so the same bits.
-    At most two chunks' frames, 2 * 64 * n^4 complex entries (8 MiB at
-    n = 8), are held at once, whatever k is.
+    of the golden outputs. The terms are summed a chunk at a time, as many
+    as have at most _STATE_SUM_CHUNK_BYTES = 1 MiB of n^4-entry complex
+    frames (16 at n = 8, 809 at n = 3), and at least one; the running sum
+    is added into the first frame of the next chunk: the same additions in
+    the same order, so the same bits. At most two chunks' frames are held
+    at once, whatever k is.
     """
-    chunk = _STATE_SUM_CHUNK
+    chunk = max(1, _STATE_SUM_CHUNK_BYTES // (16 * rep.n**4))
     frames = _frames(rep, a[:chunk], b[:chunk])
     for start in range(chunk, len(a), chunk):
         total = frames.sum(axis=0)

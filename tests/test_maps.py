@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import choifactor
 from choifactor import (
     DimensionMismatch,
     InternalDisagreement,
@@ -35,7 +36,7 @@ from choifactor import (
     transfer,
     transpose_map,
 )
-from choifactor import linalg, maps, positivity, projection_algebra
+from choifactor import factor, linalg, maps, positivity, projection_algebra
 from choifactor.linalg import hermitian_eig, hermiticity_defect, matrix_units
 from helpers import cgauss, e_verdict, matrix_unit, random_cp_map, random_hp_map, random_map
 
@@ -1135,6 +1136,29 @@ def test_check_cp_cuts_no_canonical_kraus_operators_and_builds_no_rep(monkeypatc
         kraus_found += _cp_report(phi, rep).kraus_exists
     # the Kraus, identity, trace and orthogonal Kraus maps at both weightings
     assert kraus_found >= 4 * 2 * 3
+
+
+def test_check_cp_forms_no_vector_through_the_public_factor_helpers(monkeypatch):
+    # its term stacks are validated once by frozen_terms and its eigenvectors
+    # come from eigh, so the checks of the public helpers would be repeated
+    rng = np.random.default_rng(199)
+    cases = [(phi, rep) for n in (2, 3, 4)
+             for rep in (make_factor(n), make_factor(n, rng.uniform(0.2, 1.0, n)))
+             for phi in _kraus_check_maps(rng, n, rep) + [random_map(rng, n, 2),
+                                                         map_scale(identity_map(n), 1e6)]]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("check_cp called a public factor helper")
+
+    for module in (choifactor, factor, maps, projection_algebra):
+        for name in ("apply_factor_to_state", "implementer_from_vector"):
+            monkeypatch.setattr(module, name, refused, raising=False)
+    kraus_found = 0
+    for phi, rep in cases:
+        kraus_found += _cp_report(phi, rep).kraus_exists
+    # the Kraus, identity, trace, orthogonal Kraus and scaled identity maps
+    # at both weightings
+    assert kraus_found >= 5 * 2 * 3
 
 
 def _canonical_kraus_verdict(phi, rep, tol):

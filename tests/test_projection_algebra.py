@@ -532,7 +532,8 @@ def _sequential_state_sum(rep, a, b):
     return out
 
 
-@pytest.mark.parametrize("k", [0, 1, 64, 65, 130, 200, 1024])
+# 809 terms of n = 3 frames fit in one chunk
+@pytest.mark.parametrize("k", [0, 1, 64, 65, 130, 200, 809, 810, 1024, 1618, 1619])
 def test_state_sum_in_chunks_keeps_the_bits_of_one_sequential_sum(k):
     rng = np.random.default_rng(211 + k)
     rep = make_factor(3, [0.2, 0.3, 0.5])
@@ -558,7 +559,7 @@ def test_materialize_holds_one_chunk_of_frames_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # two chunks' n^4-entry complex frames (one chunk's are freed only once
-    # the next chunk's are built), with room for the running sum and the
-    # per-chunk vectors; all 1024 frames at once would be 16 chunks' worth
-    assert peak <= 3 * projection_algebra._STATE_SUM_CHUNK * n**4 * 16
+    # two chunks' frames (one chunk's are freed only once the next chunk's
+    # are built), with room for the running sum and the per-chunk vectors;
+    # all 1024 frames at once would be 64 chunks' worth
+    assert peak <= 3 * projection_algebra._STATE_SUM_CHUNK_BYTES

@@ -4,12 +4,15 @@ matrices, Kraus operators rebuild a completely positive map, the CP
 verdict does not see a unitary change of basis on either side, check_cp's
 extension verdict is E's measured one, which no small weight makes pass a
 map whose Choi matrix fails by far, a map whose Choi margin bounds
-every probe output passes at E, and spectral_decompose rebuilds a
-self-adjoint element at weights down to 1e-10.
+every probe output passes at E, spectral_decompose rebuilds a
+self-adjoint element at weights down to 1e-10, and the frame and
+Hermitian-split helpers keep the bits of the public helpers they stand
+in for.
 
 Examples are drawn by hypothesis with a fixed seed (derandomize=True), at
 n <= 4 and at most a few terms, so the suite runs the same cases every
-time. Every comparison is held to RTOL times a scale fixed by the inputs.
+time. Every comparison but the bit-for-bit ones is held to RTOL times a
+scale fixed by the inputs.
 """
 from __future__ import annotations
 
@@ -41,13 +44,21 @@ from choifactor import (
     transfer,
     transpose_map,
 )
-from choifactor.linalg import _psd_split
+from choifactor.factor import apply_factor_to_state
+from choifactor.linalg import _hermitian_split, _psd_split, dagger
+from choifactor.projection_algebra import _frames
 from helpers import e_verdict
 
 RTOL = 1e-12
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=25, database=None)
 
 ENTRIES = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+
+
+# entries of which about a third are zeros, of either sign in each part
+SIGNED_ZERO_ENTRIES = st.one_of(
+    ENTRIES, ENTRIES,
+    st.sampled_from([complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]))
 
 
 @st.composite
@@ -282,3 +293,26 @@ def test_spectral_decompose_rebuilds_a_selfadjoint_element(case):
     m = materialize(t)
     rebuilt = materialize(decomposition_element(spectral_decompose(t)))
     assert np.max(np.abs(rebuilt - m)) <= 1e-9 + RTOL * rep.n**2 * (1.0 + _size(pairs))
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 4), st.integers(1, 5), st.data())
+def test_frames_and_the_hermitian_split_keep_the_bits_of_the_public_helpers(n, k, data):
+    pairs = data.draw(arrays(np.complex128, (k, 2, n, n), elements=SIGNED_ZERO_ENTRIES))
+    weights = data.draw(arrays(np.float64, n, elements=st.floats(0.01, 1.0)))
+    rep = make_factor(n, weights)
+    a, b = pairs[:, 0], pairs[:, 1]
+    # as state_sum passes them: the terms of a map or element, and the
+    # adjoint view the Kraus check passes
+    for x, y in ((a, b), (dagger(b), a)):
+        left = apply_factor_to_state(rep, x)
+        right = np.conj(apply_factor_to_state(rep, dagger(y)))
+        want = (left[:, :, None] * right[:, None, :]).reshape(k, n**4) + 0.0
+        assert _frames(rep, x, y).tobytes() == want.tobytes()
+    m = data.draw(arrays(np.complex128, (k, n * n, n * n), elements=SIGNED_ZERO_ENTRIES))
+    for stack in (m, m[0], m.swapaxes(-1, -2)):
+        herm, defect = _hermitian_split(stack)
+        adj = dagger(stack)
+        assert herm.tobytes() == ((stack + adj) / 2.0).tobytes()
+        want = np.max(np.abs(stack - adj), axis=(-2, -1), initial=0.0)
+        assert np.shape(defect) == np.shape(want) and defect.tobytes() == want.tobytes()
