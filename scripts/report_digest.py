@@ -7,7 +7,7 @@ src/:
     OPENBLAS_NUM_THREADS=2 python3 scripts/report_digest.py
     python3 scripts/report_digest.py --check    # compare with the record
 
-scripts/report_digests.txt records the eight lines. With --check they are
+scripts/report_digests.txt records the nine lines. With --check they are
 compared with it line by line instead of printed; every line that differs
 or has no counterpart is listed, and the exit status is 1 if there is
 any, else 0.
@@ -19,7 +19,7 @@ transpose-type, rank-one, equal-weight orthogonal Kraus and near-boundary
 band (identity + t * transpose, t across (tol/n, n * tol)) maps at
 n in {2, 3, 4, 6, 8}, at uniform and at non-uniform weights, plus
 self-adjoint, projection and non-self-adjoint elements at n in {2, 3, 4}.
-Eight digests are printed, each with the number of records behind it:
+Nine digests are printed, each with the number of records behind it:
 
     check_cp      repr of the CpReport, or of the report carried by
                   InternalDisagreement, one per case
@@ -44,10 +44,12 @@ Eight digests are printed, each with the number of records behind it:
                   pair-sum layer: transfer, apply_map, choi, dual_choi and
                   the terms of adjoint_map for every map case, kraus_apply
                   for every Kraus decomposition above, and materialize,
-                  element_product, element_adjoint, compress and the terms
-                  of identity_element for every element; the same again
-                  for sparse pairs at n in {2, 3, 4}, half of whose entries
-                  are zeros of either sign
+                  element_product, element_adjoint and the terms of
+                  identity_element for every element; the same again for
+                  sparse pairs at n in {2, 3, 4}, half of whose entries are
+                  zeros of either sign
+    compress      term bytes of compress, or the error it raises, for every
+                  element of algebra, sparse ones included
     formats       for every map case, the compact and the pretty text of
                   dumps over map_doc, the Choi matrix and the dual Choi
                   operator (each as {"matrix": matrix_doc(...)}), and the
@@ -55,7 +57,7 @@ Eight digests are printed, each with the number of records behind it:
                   the map document
 
 A change meant to leave every report bit for bit as it was prints the
-same eight lines before and after; compare the output of two checkouts
+same nine lines before and after; compare the output of two checkouts
 (and of one and two BLAS threads). It complements
 `scripts/make_goldens.py --check`, which covers the CLI at n = 2 only.
 """
@@ -241,13 +243,16 @@ def _map_bytes(phi, rep, c) -> bytes:
 
 def _element_bytes(element) -> bytes:
     adjoint = element_adjoint(element)
-    try:
-        compressed = _terms_bytes(compress(element))
-    except ChoiFactorError as exc:
-        compressed = f"{type(exc).__name__}: {exc}".encode()
     product = element_product(element, adjoint)
     return b"".join((materialize(element).tobytes(), _terms_bytes(product), _terms_bytes(adjoint),
-                     compressed, _terms_bytes(identity_element(element.rep))))
+                     _terms_bytes(identity_element(element.rep))))
+
+
+def _compress_bytes(element) -> bytes:
+    try:
+        return _terms_bytes(compress(element))
+    except ChoiFactorError as exc:
+        return f"{type(exc).__name__}: {exc}".encode()
 
 
 def _formats_bytes(phi, rep) -> bytes:
@@ -261,7 +266,7 @@ def _formats_bytes(phi, rep) -> bytes:
 def digest_lines() -> list[str]:
     """One line per report kind: its name, record count and SHA-256."""
     kinds = ("check_cp", "extension", "kraus", "not_positive", "positive", "spectral", "algebra",
-             "formats")
+             "compress", "formats")
     digests = {kind: hashlib.sha256() for kind in kinds}
     counts = dict.fromkeys(digests, 0)
 
@@ -307,6 +312,7 @@ def digest_lines() -> list[str]:
 
     for label, element, is_projection in elements():
         record("algebra", f"{label} elements", _element_bytes(element))
+        record("compress", label, _compress_bytes(element))
         try:
             sd = spectral_decompose(element, tol=TOL)
             payload = repr([c for c, _ in sd.items]).encode() + b"".join(
@@ -320,7 +326,9 @@ def digest_lines() -> list[str]:
     for label, pairs, rep in sparse_cases():
         c = _cgauss(inputs, rep.n, rep.n)
         record("algebra", f"{label} maps", _map_bytes(PairSumMap(rep.n, pairs), rep, c))
-        record("algebra", f"{label} elements", _element_bytes(PairSumElement(rep, pairs)))
+        element = PairSumElement(rep, pairs)
+        record("algebra", f"{label} elements", _element_bytes(element))
+        record("compress", label, _compress_bytes(element))
         v = pairs[:, 1]  # the Kraus operators of C -> sum V* C V
         cp = PairSumMap(rep.n, np.stack((np.conj(v).swapaxes(1, 2), v), axis=1))
         kd = kraus_decompose(cp, rep)

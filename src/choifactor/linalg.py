@@ -150,23 +150,20 @@ def canonical_phase(v: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return v
 
 
-def _gram_schmidt(vectors: np.ndarray, floors: np.ndarray,
-                  stop: int | None = None) -> tuple[list[int], list[np.ndarray]]:
-    # Modified Gram-Schmidt over the rows in index order: row i is kept when
-    # its residual is longer than floors[i], until `stop` rows are kept.
-    # Returns the kept indices and their orthonormal vectors.
-    kept: list[int] = []
+def _gram_schmidt(vectors: np.ndarray, floor: float, stop: int) -> list[np.ndarray]:
+    # Modified Gram-Schmidt over the rows in index order: a row is kept when
+    # its residual is longer than floor, until `stop` rows are kept.
+    # Returns the kept rows' orthonormal vectors.
     basis: list[np.ndarray] = []
-    for i, resid in enumerate(vectors.copy()):
+    for resid in vectors.copy():
         if len(basis) == stop:
             break
         for q in basis:
             resid -= q * np.vdot(q, resid)
         nrm = np.linalg.norm(resid)
-        if nrm > floors[i]:
-            kept.append(i)
+        if nrm > floor:
             basis.append(resid / nrm)
-    return kept, basis
+    return basis
 
 
 def _descending_eigh(herm: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -210,7 +207,7 @@ def _canonicalize(w: np.ndarray, v: np.ndarray, scale: float, above: float | Non
         # the basis eigh returned
         run = np.arange(start, start + size)
         cols = v[:, run]
-        _, basis = _gram_schmidt((cols @ dagger(cols)).T, np.full(len(v), 1e-6), size)
+        basis = _gram_schmidt((cols @ dagger(cols)).T, 1e-6, size)
         if len(basis) == size:  # fewer cannot happen for a genuine projection
             v[:, run] = np.stack(basis, axis=1)
     kept = np.repeat(keep, sizes)

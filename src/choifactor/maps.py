@@ -445,8 +445,10 @@ def adjoint_choi_symmetry(
 
     All three concern choi, which does not depend on the weights, so rep
     only has to have phi's dimension. The minimum eigenvalues are NaN when
-    choi(phi) is out of floating point range.
+    choi(phi) is out of floating point range. Raises ValueError when tol is
+    not a finite number >= 0.
     """
+    _check_tol(tol)
     _resolve_rep(phi, rep)
     c = choi(phi)
     c_adj = choi(adjoint_map(phi))

@@ -112,9 +112,11 @@ def seesaw_product_min(
     one stacked contraction and one stacked eigh per half-step, each with
     the bits a restart run alone would get. The best restart wins, ties
     to the lowest index. Heuristic: a value above -tol does not prove
-    positivity. Raises ValueError when restarts < 1.
+    positivity. Raises ValueError when restarts < 1 or tol is not a finite
+    number >= 0.
     """
     _check_restarts(restarts)
+    _check_tol(tol)
     d = as_complex(d)
     n = _side_dim(d)
     scale = max(1.0, opnorm(d))

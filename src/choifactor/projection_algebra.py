@@ -8,6 +8,7 @@ operation acts on all terms at once as one array product. Because E has
 rank one, products collapse by (A E B)(C E D) = omega(B C) A E D with
 omega the vector state, so the symbolic calculus never leaves this form.
 Materialization to a dense n^2 by n^2 matrix is explicit and one-way.
+A tol that is not a finite number >= 0 raises ValueError.
 """
 from __future__ import annotations
 
@@ -31,9 +32,8 @@ from .factor import (
     implementer_from_vector,
     vector_state,
 )
-from .linalg import (TOL_ALG, _canonicalize, _cluster_runs, _descending_eigh, _gram_schmidt,
-                     _range_basis, dagger, hermitian_eig, hermitian_part, matrix_units, opnorm,
-                     subspace_coeffs)
+from .linalg import (TOL_ALG, _canonicalize, _check_tol, _cluster_runs, _descending_eigh,
+                     _range_basis, _require_finite, dagger, hermitian_eig, hermitian_part, matrix_units, opnorm)
 
 # Relative gap below which kept eigenvalues share one spectral projection.
 _SPECTRAL_CLUSTER_RTOL = 1e-8
@@ -176,21 +176,26 @@ def materialize(e: PairSumElement) -> np.ndarray:
 
 
 def compress(e: PairSumElement, tol: float = TOL_ALG) -> PairSumElement:
-    """Shorter element with the same materialization.
+    """Shortest element with the same materialization, up to tol.
 
-    Greedily keeps a maximal independent subset of the term frames (index
-    order) and folds least-squares coefficients for the whole sum into the
-    kept A sides. Never applied implicitly by the other operations.
+    The element materializes to X Y*, X and Y the (n^2, k) stacks of
+    x_i = (1(x)A_i)x and y_i = (1(x)B_i*)x. With X = Q_X R_X, Y = Q_Y R_Y
+    (QR) and R_X R_Y* = U S V* (SVD, at most k by k), term j is
+    (s_j S(Q_X u_j), S(Q_Y v_j)*) for each s_j > tol * max(1, s_0), with
+    S = implementer_from_vector (x is cyclic): rank(X Y*) terms, which no
+    element undercuts, and never more than k. Not applied implicitly.
+    NumericalFailure on a core out of floating point range.
     """
-    frames = _frames(e.rep, e.a, e.b)
-    total = np.sum(frames, axis=0)
-    # a frame of norm <= 1e-14 is never kept
-    fnorms = np.array([np.linalg.norm(f) for f in frames])
-    kept, _ = _gram_schmidt(frames, np.where(fnorms <= 1e-14, np.inf, max(tol, 1e-12) * fnorms))
-    if not kept:
-        return zero_element(e.rep)
-    coeffs = subspace_coeffs(total, frames[kept], tol=max(tol, 1e-9))
-    return PairSumElement(e.rep, np.stack((coeffs[:, None, None] * e.a[kept], e.b[kept]), axis=1))
+    _check_tol(tol)
+    qx, rx = np.linalg.qr(apply_factor_to_state(e.rep, e.a).T)
+    qy, ry = np.linalg.qr(apply_factor_to_state(e.rep, dagger(e.b)).T)
+    core = rx @ dagger(ry)
+    _require_finite("take the SVD of the compression core", core)
+    u, s, vh = np.linalg.svd(core)
+    keep = s > tol * s.max(initial=1.0)
+    left = implementer_from_vector(e.rep, (qx @ (u[:, keep] * s[keep])).T)
+    right = implementer_from_vector(e.rep, (qy @ dagger(vh[keep])).T)
+    return PairSumElement(e.rep, np.stack((left, dagger(right)), axis=1))
 
 
 def rank_one_subprojection(p: PairSumElement, tol: float = TOL_ALG) -> PairSumElement:
@@ -200,6 +205,7 @@ def rank_one_subprojection(p: PairSumElement, tol: float = TOL_ALG) -> PairSumEl
     vector is nonzero: F = p (1(x)u) E (1(x)u*) p, normalized. The whole
     construction runs through the symbolic product, so F <= p exactly.
     """
+    _check_tol(tol)
     m = materialize(p)
     norm = opnorm(m)
     _, defect, hermitian = hermitian_part(m, tol)
@@ -230,6 +236,7 @@ def rank_one_implementer(p: PairSumElement, tol: float = TOL_ALG) -> np.ndarray:
 
     The range vector gets a canonical phase, so equal inputs give equal S.
     """
+    _check_tol(tol)
     m = materialize(p)
     try:
         evals, evecs = hermitian_eig(m, tol=tol)
@@ -281,6 +288,7 @@ def spectral_decompose(t: PairSumElement, tol: float = 1e-9) -> SpectralDecompos
     max(n^2, k) * eps * sigma_0 cut, as lstsq does; scale is max(1, max |c|)
     and gap the distance from P's eigenvalues to all others, dropped included.
     """
+    _check_tol(tol)
     herm, defect, hermitian = hermitian_part(materialize(t), tol)
     if not hermitian:
         raise NotSelfAdjoint(f"self-adjointness defect {defect:.3e}")

@@ -15,6 +15,7 @@ from choifactor import (
     check_cp,
     check_positive,
     choi,
+    compress,
     conjugation_map,
     dual_choi,
     embed,
@@ -30,6 +31,9 @@ from choifactor import (
     materialize,
     parse_element_file,
     parse_map_file,
+    rank_one_implementer,
+    rank_one_subprojection,
+    seesaw_product_min,
     spectral_decompose,
     state_projection,
     trace_map,
@@ -853,6 +857,26 @@ def test_tolerances_other_than_finite_numbers_at_least_zero_are_refused(tol, mon
                  lambda: check_positive(transpose_map(2), tol=tol)):
         with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
             call()
+
+
+_UNIT_ELEMENT = PairSumElement(make_factor(2), ((np.eye(2), np.eye(2)),))
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+@pytest.mark.parametrize("call", [
+    lambda tol: compress(_UNIT_ELEMENT, tol=tol),
+    lambda tol: spectral_decompose(_UNIT_ELEMENT, tol=tol),
+    lambda tol: rank_one_subprojection(_UNIT_ELEMENT, tol=tol),
+    lambda tol: rank_one_implementer(_UNIT_ELEMENT, tol=tol),
+    lambda tol: seesaw_product_min(dual_choi(identity_map(2)), tol=tol),
+    lambda tol: adjoint_choi_symmetry(identity_map(2), tol=tol),
+], ids=["compress", "spectral_decompose", "rank_one_subprojection", "rank_one_implementer",
+        "seesaw_product_min", "adjoint_choi_symmetry"])
+def test_the_other_tolerance_taking_calls_refuse_the_same_tolerances(call, tol):
+    # unchecked, nan would keep no spectral item and no term, and -1 would
+    # make the identity map's see-saw say not positive
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        call(tol)
 
 
 # ------------------------------------------------ deferred canonicalization

@@ -6,6 +6,7 @@ from choifactor import (
     NotInSpan,
     NotRankOneProjection,
     NotSelfAdjoint,
+    NumericalFailure,
     PairSumElement,
     RepMismatch,
     ZeroProjection,
@@ -203,7 +204,7 @@ def test_compress_shrinks_duplicates():
     a, b = cgauss(rng, 2, 2), cgauss(rng, 2, 2)
     fat = PairSumElement(rep, ((a, b), (2 * a, b), (a, b)))
     slim = compress(fat)
-    assert len(slim) < len(fat)
+    assert len(slim) == 1
     assert np.abs(materialize(slim) - materialize(fat)).max() < 1e-10
 
 
@@ -215,6 +216,51 @@ def test_compress_keeps_independent():
     slim = compress(e)
     assert len(slim) == 3
     assert np.abs(materialize(slim) - materialize(e)).max() < 1e-10
+
+
+@pytest.mark.parametrize("rep", [make_factor(n, w) for n in (2, 3, 4)
+                                 for w in ("tracial", np.arange(1.0, n + 1.0))])
+def test_compress_cuts_to_the_rank_of_the_materialization(rep):
+    n = rep.n
+    rng = np.random.default_rng(31 + n)
+    e = PairSumElement(rep, tuple((cgauss(rng, n, n), cgauss(rng, n, n)) for _ in range(n + 1)))
+    big = element_product(e, e)
+    assert len(big) > n * n
+    m = materialize(big)
+    slim = compress(big)
+    assert len(slim) == np.linalg.matrix_rank(m)
+    assert np.abs(materialize(slim) - m).max() <= 1e-10 * max(1.0, np.linalg.norm(m, 2))
+    # the core is at most k by k, so even keeping every nonzero singular
+    # value, rounding included, cannot lengthen the element
+    for k in (1, 2, 3):
+        short = PairSumElement(rep, big.terms[:k])
+        assert len(compress(short, tol=0.0)) <= k
+
+
+def test_compress_peak_memory_does_not_grow_with_the_frames():
+    import tracemalloc
+
+    rng = np.random.default_rng(227)
+    n = 8
+    e = PairSumElement(make_factor(n), tuple((cgauss(rng, n, n), cgauss(rng, n, n))
+                                             for _ in range(32)))
+    big = element_product(e, e)
+    tracemalloc.start()
+    try:
+        slim = compress(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(slim) == 32
+    # the 1024 frames of n^4 complex entries alone would take 64 MiB
+    assert peak < 16 * 2**20
+
+
+def test_compress_refuses_an_overflowed_core():
+    big = 1e200 * np.eye(2)
+    # the terms are finite, but the entries of X Y* are about 1e400
+    with pytest.raises(NumericalFailure), np.errstate(over="ignore", invalid="ignore"):
+        compress(PairSumElement(TRACIAL2, ((big, big), (big, big))))
 
 
 def test_rank_one_subprojection_of_state_projection():
