@@ -3,8 +3,8 @@
 The algebra M = 1 (x) M_n acts on C^n (x) C^n. A weight vector
 (lambda_1, ..., lambda_n), positive and summing to one, fixes the unit
 vector x = sum_i sqrt(lambda_i) e_i (x) e_i, which is cyclic and separating
-for M. The rank-one projection onto x and the vector state it induces are
-the raw material for everything built on top.
+for M: every vector is (1 (x) S)x for one S in M_n. This module owns that
+correspondence; its kernels _state_vectors and _implementers map each way.
 
 Basis order: e_i (x) e_k sits at flat index i*n + k, so the commutant
 M' = M_n (x) 1 owns the first (slow) leg and the factor the second.
@@ -55,8 +55,7 @@ class FactorRep:
 
     @cached_property
     def _sqrt_weights(self) -> np.ndarray:
-        # sqrt(weights), read-only: the diagonal of x, which every map between
-        # vectors and the matrices implementing them scales by
+        # sqrt(weights), read-only: the diagonal of x, which the kernels scale by
         s = np.sqrt(self.weights)
         s.setflags(write=False)
         return s
@@ -125,6 +124,11 @@ def apply_factor_to_state(rep: FactorRep, a) -> np.ndarray:
     a = as_complex(a)
     if a.shape[-2:] != (rep.n, rep.n):
         raise DimensionMismatch(f"expected {rep.n}x{rep.n}, got {a.shape}")
+    return _state_vectors(rep, a)
+
+
+def _state_vectors(rep: FactorRep, a: np.ndarray) -> np.ndarray:
+    # apply_factor_to_state of a complex (..., n, n) stack, unchecked
     return (rep._sqrt_weights[:, None] * a.swapaxes(-1, -2)).reshape(a.shape[:-2] + (rep.n**2,))
 
 
@@ -138,6 +142,11 @@ def implementer_from_vector(rep: FactorRep, y) -> np.ndarray:
     y = as_complex(y)
     if y.shape[-1:] != (rep.n * rep.n,):
         raise DimensionMismatch(f"expected length {rep.n * rep.n}, got shape {y.shape}")
+    return _implementers(rep, y)
+
+
+def _implementers(rep: FactorRep, y: np.ndarray) -> np.ndarray:
+    # implementer_from_vector of a complex (..., n^2) stack, unchecked
     ymat = y.reshape(y.shape[:-1] + (rep.n, rep.n))
     return ymat.swapaxes(-1, -2) * (1.0 / rep._sqrt_weights)
 

@@ -6,8 +6,8 @@ small dimensions (products of matrix dimensions up to a few dozen).
 One Hermiticity rule serves the whole package: m counts as Hermitian
 within tol when max |m - m*| is not above tol * max(1, opnorm(m)), and
 what is then tested or diagonalized is its Hermitian part (m + m*)/2.
-hermitian_part applies the rule and psd_within adds the test that the
-Hermitian part's lowest eigenvalue is >= -tol.
+hermitian_part applies the rule; psd_within adds that the Hermitian part's
+lowest eigenvalue is >= -tol, and returns the verdict, it and the defect.
 
 Each numerical primitive has one implementation here, which every module
 calls: the Hermitian split (m + m*)/2 with max |m - m*|, the finiteness
@@ -27,6 +27,9 @@ TOL_ALG = 1e-10
 # Eigenvalues closer than this (relative to the matrix norm) are treated as
 # one eigenspace when choosing a canonical basis.
 _CLUSTER_RTOL = 1e-12
+
+# Entries of at most this size are passed over when choosing a canonical phase.
+_PHASE_TOL = 1e-8
 
 
 def as_complex(m) -> np.ndarray:
@@ -110,16 +113,10 @@ def hermitian_part(m, tol: float) -> tuple[np.ndarray, float, bool]:
     return herm, defect, not defect > scaled_tol(defect, tol, m)
 
 
-def psd_within(m, tol: float) -> tuple[bool, float]:
-    """Whether m is Hermitian and psd within tol, and the lowest eigenvalue
-    of its Hermitian part. Raises NumericalFailure on an entry that is not
-    a finite number."""
-    return _psd_split(m, tol)[:2]
-
-
-def _psd_split(m, tol: float) -> tuple[bool, float, float]:
-    # psd_within's verdict and lowest eigenvalue, plus the defect
-    # max |m - m*| of the one Hermitian split both are read from
+def psd_within(m, tol: float) -> tuple[bool, float, float]:
+    """Whether m is Hermitian and psd within tol, the lowest eigenvalue of
+    its Hermitian part, and the defect max |m - m*|. Raises
+    NumericalFailure on an entry that is not a finite number."""
     herm, defect, hermitian = hermitian_part(m, tol)
     _require_finite("diagonalize", herm)
     low = float(np.linalg.eigvalsh(herm)[0])
@@ -136,12 +133,12 @@ def leg_swap(n: int) -> np.ndarray:
     return matrix_units(n).transpose(0, 2, 1).reshape(n * n, n * n)
 
 
-def canonical_phase(v: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Rotate a global phase so the first entry above tol is real positive, in
-    v or in each column of a matrix v; one with no entry above tol is left as it is."""
+def canonical_phase(v: np.ndarray) -> np.ndarray:
+    """Rotate a global phase so the first entry above _PHASE_TOL is real positive,
+    in v or in each column of a matrix v; one with no such entry is left as it is."""
     v = as_complex(v).copy()
     cols = v if v.ndim == 2 else v[:, None]
-    big = np.abs(cols) > tol
+    big = np.abs(cols) > _PHASE_TOL
     some = np.flatnonzero(np.any(big, axis=0))
     if some.size:
         pivot = cols[np.argmax(big[:, some], axis=0), some]

@@ -29,12 +29,11 @@ from .errors import (
     NumericalFailure,
     RepMismatch,
 )
-from .factor import FactorRep, make_factor
+from .factor import FactorRep, _implementers, make_factor
 from .linalg import (
     _canonicalize,
     _check_tol,
     _descending_eigh,
-    _psd_split,
     _require_finite,
     as_complex,
     dagger,
@@ -101,7 +100,12 @@ def apply_map(phi: PairSumMap, c) -> np.ndarray:
     c = as_complex(c)
     if c.shape[-2:] != (phi.n, phi.n):
         raise DimensionMismatch(f"expected {phi.n}x{phi.n}, got {c.shape}")
-    return (phi.a @ c[..., None, :, :] @ phi.b).sum(axis=-3)
+    return _pair_sum(phi.a, c, phi.b)
+
+
+def _pair_sum(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # sum_i A_i C B_i over complex (k, n, n) stacks a and b, for C (..., n, n), unchecked
+    return (a @ c[..., None, :, :] @ b).sum(axis=-3)
 
 
 def transfer(phi: PairSumMap) -> np.ndarray:
@@ -219,19 +223,21 @@ def _kraus_cut(evals: np.ndarray, evecs: np.ndarray, scale: float, rep: FactorRe
 def _kraus_ops(evals: np.ndarray, evecs: np.ndarray, rep: FactorRep,
                tol: float) -> tuple[np.ndarray, np.ndarray]:
     # the eigenvalues c_j not <= tol and the (k, n, n) stack of
-    # V_j = sqrt(c_j) S_j, (1(x)S_j) x the eigenvector y_j, in the order given;
-    # S_j = Y_j^T diag(w)^-1/2 as implementer_from_vector forms it, without
-    # its checks of what eigh returned
+    # V_j = sqrt(c_j) S_j, (1(x)S_j) x the eigenvector y_j, in the order given
     kept = ~(evals <= tol)
     cs = evals[kept]
-    ys = evecs[:, kept].T.reshape(len(cs), rep.n, rep.n)
-    return cs, np.sqrt(cs)[:, None, None] * (ys.swapaxes(-1, -2) * (1.0 / rep._sqrt_weights))
+    return cs, np.sqrt(cs)[:, None, None] * _implementers(rep, evecs[:, kept].T)
 
 
 def kraus_apply(kd: KrausDecomposition, c) -> np.ndarray:
+    """sum_j V_j* C V_j, or that of each matrix in a stack (..., n, n), n the
+    operators' size (any n if there are none); DimensionMismatch otherwise."""
     c = as_complex(c)
-    v = np.array(kd.ops, dtype=np.complex128).reshape((-1,) + c.shape)
-    return (dagger(v) @ c @ v).sum(axis=0)
+    shape = np.shape(kd.ops[0]) if kd.ops else c.shape[-1:] * 2
+    if c.ndim < 2 or c.shape[-2:] != shape:
+        raise DimensionMismatch(f"expected matrices of shape {shape}, got {c.shape}")
+    v = np.array(kd.ops, dtype=np.complex128).reshape((-1,) + shape)
+    return _pair_sum(dagger(v), c, v)
 
 
 @dataclass(frozen=True)
@@ -244,8 +250,8 @@ class ExtensionReport:
 
 
 def _state_measured(phi: PairSumMap, rep: FactorRep, tol: float) -> tuple[bool, float, float]:
-    # _psd_split of E's output sum_i (1(x)A_i) E (1(x)B_i)
-    return _psd_split(state_sum(rep, phi.a, phi.b), tol)
+    # psd_within of E's output sum_i (1(x)A_i) E (1(x)B_i)
+    return psd_within(state_sum(rep, phi.a, phi.b), tol)
 
 
 def _extension_verdict(phi: PairSumMap, rep: FactorRep, choi_low: float, choi_defect: float,
@@ -380,7 +386,7 @@ def check_cp(phi: PairSumMap, tol: float = 1e-9, rep: FactorRep | None = None) -
     # an overflowed Choi matrix has no spectrum, and E's output, a congruence
     # of it, would be refused with the same error
     _require_finite("diagonalize", c)
-    choi_ok, choi_low, choi_defect = _psd_split(c, tol)
+    choi_ok, choi_low, choi_defect = psd_within(c, tol)
     ext_ok = _extension_verdict(phi, rep, choi_low, choi_defect, tol)
 
     # one Hermitian split and one eigendecomposition serve (3) and (4)

@@ -120,7 +120,7 @@ def seesaw_product_min(
     d = as_complex(d)
     n = _side_dim(d)
     scale = max(1.0, opnorm(d))
-    d, _, hermitian = hermitian_part(d, 1e-9)
+    d, _, hermitian = hermitian_part(d, tol)
     if not hermitian:
         raise NotHermitian("seesaw needs a Hermitian pairing operator")
     d4 = d.reshape(n, n, n, n)
@@ -266,7 +266,7 @@ def check_positive(
     value = float(np.real(product_pairing(d, u, v)))
     if value < -tol:
         out = apply_map(phi, np.outer(v, np.conj(v)))
-        _, low = psd_within(out, tol / 2.0)
+        low = psd_within(out, tol / 2.0)[1]
         verdict = "not-positive" if low < -tol / 2.0 else "inconclusive"
     else:
         verdict = "positive"

@@ -26,12 +26,7 @@ from .errors import (
     RepMismatch,
     ZeroProjection,
 )
-from .factor import (
-    FactorRep,
-    apply_factor_to_state,
-    implementer_from_vector,
-    vector_state,
-)
+from .factor import FactorRep, _implementers, _state_vectors, vector_state
 from .linalg import (TOL_ALG, _canonicalize, _check_tol, _cluster_runs, _descending_eigh,
                      _range_basis, _require_finite, dagger, hermitian_eig, hermitian_part, matrix_units, opnorm)
 
@@ -97,9 +92,8 @@ def zero_element(rep: FactorRep) -> PairSumElement:
 
 def identity_element(rep: FactorRep) -> PairSumElement:
     """The identity of B(H), which is finite rank here, as an element."""
-    # term k*n + l is (S, S*) with S = e_lk / sqrt(w_k)
-    scales = np.sqrt(np.repeat(rep.weights, rep.n))[:, None, None]
-    ss = matrix_units(rep.n).transpose(0, 2, 1) / scales
+    # term j is (S, S*), (1 (x) S)x the j-th basis vector: S = e_lk / sqrt(w_k) at j = k*n + l
+    ss = _implementers(rep, np.eye(rep.n**2, dtype=np.complex128))
     return PairSumElement(rep, np.stack((ss, dagger(ss)), axis=1))
 
 
@@ -133,18 +127,11 @@ def element_add(e1: PairSumElement, e2: PairSumElement) -> PairSumElement:
 
 
 def _frames(rep: FactorRep, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # row i: the rank-one operator |(1(x)A_i)x><(1(x)B_i*)x|, flattened, with
-    # -0 entries made +0 as in a sum that starts from zero. a and b are
-    # complex (k, n, n) stacks, so the vectors are formed here, unchecked:
-    # (1(x)A)x is apply_factor_to_state's sqrt(w)[:, None] * A^T, and the
-    # conjugate of (1(x)B*)x is sqrt(w)[:, None] * B, which differs from
-    # conjugating that product only in the sign of zero entries; a frame
-    # entry such a sign changes is itself a zero, which the +0 makes +0
-    s = rep._sqrt_weights[:, None]
-    dim = rep.n * rep.n
-    left = (s * a.swapaxes(-1, -2)).reshape(len(a), dim)
-    right = (s * b).reshape(len(b), dim)
-    frames = (left[:, :, None] * right[:, None, :]).reshape(len(a), dim * dim)
+    # row i: |(1(x)A_i)x><(1(x)B_i*)x| flattened, the bra's entries those of
+    # (1(x)B_i^T)x up to the sign of a zero, and -0 made +0 as in a sum from 0
+    left = _state_vectors(rep, a)
+    right = _state_vectors(rep, b.swapaxes(-1, -2))
+    frames = (left[:, :, None] * right[:, None, :]).reshape(len(a), rep.n**4)
     return np.add(frames, 0.0, out=frames)
 
 
@@ -187,14 +174,14 @@ def compress(e: PairSumElement, tol: float = TOL_ALG) -> PairSumElement:
     NumericalFailure on a core out of floating point range.
     """
     _check_tol(tol)
-    qx, rx = np.linalg.qr(apply_factor_to_state(e.rep, e.a).T)
-    qy, ry = np.linalg.qr(apply_factor_to_state(e.rep, dagger(e.b)).T)
+    qx, rx = np.linalg.qr(_state_vectors(e.rep, e.a).T)
+    qy, ry = np.linalg.qr(_state_vectors(e.rep, dagger(e.b)).T)
     core = rx @ dagger(ry)
     _require_finite("take the SVD of the compression core", core)
     u, s, vh = np.linalg.svd(core)
     keep = s > tol * s.max(initial=1.0)
-    left = implementer_from_vector(e.rep, (qx @ (u[:, keep] * s[keep])).T)
-    right = implementer_from_vector(e.rep, (qy @ dagger(vh[keep])).T)
+    left = _implementers(e.rep, (qx @ (u[:, keep] * s[keep])).T)
+    right = _implementers(e.rep, (qy @ dagger(vh[keep])).T)
     return PairSumElement(e.rep, np.stack((left, dagger(right)), axis=1))
 
 
@@ -215,7 +202,7 @@ def rank_one_subprojection(p: PairSumElement, tol: float = TOL_ALG) -> PairSumEl
     if norm <= tol:
         raise ZeroProjection("projection is numerically zero")
     for unit in matrix_units(p.rep.n):
-        w = m @ apply_factor_to_state(p.rep, unit)
+        w = m @ _state_vectors(p.rep, unit)
         wnorm2 = float(np.real(np.vdot(w, w)))
         if wnorm2 > 1e-6 * max(1.0, norm):
             middle = PairSumElement(p.rep, ((unit, dagger(unit)),))
@@ -224,9 +211,9 @@ def rank_one_subprojection(p: PairSumElement, tol: float = TOL_ALG) -> PairSumEl
     raise ZeroProjection("no matrix unit has a nonzero compression")
 
 
-def _implementers(rep: FactorRep, cols: np.ndarray) -> np.ndarray:
+def _normalized_implementers(rep: FactorRep, cols: np.ndarray) -> np.ndarray:
     # the S with (1 (x) S) x = y for each column y, scaled to omega(S* S) = 1
-    ss = implementer_from_vector(rep, cols.T)
+    ss = _implementers(rep, cols.T)
     return ss / np.sqrt(np.real(vector_state(rep, dagger(ss) @ ss)))[:, None, None]
 
 
@@ -249,7 +236,7 @@ def rank_one_implementer(p: PairSumElement, tol: float = TOL_ALG) -> np.ndarray:
         raise NotRankOneProjection(
             f"eigenvalues {np.array2string(evals, precision=3)} are not (1, 0, ..., 0)"
         )
-    s = _implementers(p.rep, evecs[:, :1])[0]
+    s = _normalized_implementers(p.rep, evecs[:, :1])[0]
     check = state_sum(p.rep, s[None], dagger(s)[None])
     if np.max(np.abs(check - m)) > 1e-8 * scale:
         raise NotRankOneProjection("implementer does not reproduce the projection")
@@ -296,13 +283,13 @@ def spectral_decompose(t: PairSumElement, tol: float = 1e-9) -> SpectralDecompos
     _canonicalize(evals, evecs, scale)
     keep = np.flatnonzero(np.abs(evals) > tol)
 
-    items = tuple(zip(evals[keep].tolist(), _implementers(t.rep, evecs[:, keep])))
+    items = tuple(zip(evals[keep].tolist(), _normalized_implementers(t.rep, evecs[:, keep])))
 
     # spectral projections of nonzero eigenvalues are polynomials in t with
     # zero constant term, hence lie in the span of the frames; P -> Q_X P Q_Y
     # is the orthogonal projection onto it, so P misses it by the lstsq residual
-    qx = _range_basis(apply_factor_to_state(t.rep, t.a).T)
-    qy = _range_basis(apply_factor_to_state(t.rep, dagger(t.b)).T)
+    qx = _range_basis(_state_vectors(t.rep, t.a).T)
+    qy = _range_basis(_state_vectors(t.rep, dagger(t.b)).T)
     for r in _cluster_runs(evals[keep], _SPECTRAL_CLUSTER_RTOL * scale):
         p = evecs[:, keep[r]] @ dagger(evecs[:, keep[r]])
         missed = float(np.linalg.norm(p - qx @ (dagger(qx) @ p @ qy) @ dagger(qy)))

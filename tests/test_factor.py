@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import choifactor
 from choifactor import (
     BadWeights,
     DimensionMismatch,
@@ -11,6 +14,7 @@ from choifactor import (
     state_projection,
     vector_state,
 )
+from choifactor import linalg
 from choifactor.factor import apply_factor_to_state
 from helpers import cgauss, matrix_unit
 
@@ -224,3 +228,15 @@ def test_tomita_operator_sends_a_x_to_a_star_x(n):
         got = modular_conjugate(rep, y / root[:, None] * root[None, :])
         want = apply_factor_to_state(rep, a.conj().T)
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(a).max())
+
+
+def test_only_factor_maps_between_matrices_and_vectors_and_one_psd_test_is_left():
+    # the standard-vector convention lives in factor: no other module reads
+    # the sqrt(weights) it scales by, and psd_within is the one psd test
+    sources = [p for p in Path(choifactor.__file__).parent.glob("*.py") if p.name != "factor.py"]
+    assert len(sources) >= 8
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        assert "_sqrt_weights" not in text, path.name
+        assert "def _psd_split" not in text, path.name
+    assert not hasattr(linalg, "_psd_split")

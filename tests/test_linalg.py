@@ -114,7 +114,7 @@ def test_canonical_phase():
 @st.composite
 def phase_inputs(draw):
     """A matrix whose columns are scaled by 1, 1e-9, 0 or -0, so that some
-    have no entry above canonical_phase's tol and hold zeros of either sign."""
+    have no entry above canonical_phase's _PHASE_TOL and hold zeros of either sign."""
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     m = draw(arrays(np.complex128, (rows, cols), elements=ENTRIES))
     scales = draw(arrays(np.float64, cols, elements=st.sampled_from([1.0, 1e-9, 0.0, -0.0])))

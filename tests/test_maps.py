@@ -273,6 +273,25 @@ def test_kraus_roundtrip_random_cp(rep):
                 assert np.abs(kraus_apply(kd, u) - apply_map(phi, u)).max() < 1e-9
 
 
+def test_kraus_apply_is_apply_map_and_refuses_other_sizes():
+    rng = np.random.default_rng(24)
+    phi = trace_map(2)
+    kd = kraus_decompose(phi)
+    for shape in ((2, 2), (3, 2, 2), (2, 3, 2, 2)):
+        c = cgauss(rng, *shape)
+        assert np.abs(kraus_apply(kd, c) - apply_map(phi, c)).max() < 1e-12
+    for shape in ((4, 4), (3, 3), (2, 3, 3), (2,), ()):
+        with pytest.raises(DimensionMismatch):
+            kraus_apply(kd, np.zeros(shape))
+    # the zero map has no operators, and every square input goes to zero
+    none = kraus_decompose(map_scale(identity_map(3), 0.0))
+    assert len(none) == 0
+    assert np.array_equal(kraus_apply(none, np.ones((2, 3, 3))), np.zeros((2, 3, 3)))
+    for shape in ((3, 4), (3,), ()):
+        with pytest.raises(DimensionMismatch):
+            kraus_apply(none, np.zeros(shape))
+
+
 def test_kraus_transpose_not_positive():
     with pytest.raises(NotPositive) as exc:
         kraus_decompose(transpose_map(2), TRACIAL2)
@@ -388,7 +407,7 @@ def test_extension_report_is_the_split_of_the_materialized_element(weighted):
         for phi in (random_map(rng, n, 3), random_cp_map(rng, n, 2), random_hp_map(rng, n, 3),
                     _band_map(n, 2e-9)):
             report = extension_positivity_check(phi, rep=rep)
-            want = linalg._psd_split(materialize(PairSumElement(rep, phi.terms)), 1e-9)
+            want = linalg.psd_within(materialize(PairSumElement(rep, phi.terms)), 1e-9)
             assert (report.positive, report.min_eigenvalue, report.hermiticity_defect) == want
 
 
@@ -699,7 +718,7 @@ def _settled(phi, tol, rep=None, low=None, defect=None):
     # the verdict the Choi spectrum's window gives on E, or None where E
     # would have to be measured; low and defect replace the computed ones
     rep = make_factor(phi.n) if rep is None else rep
-    _, choi_low, choi_defect = linalg._psd_split(choi(phi), tol)
+    _, choi_low, choi_defect = linalg.psd_within(choi(phi), tol)
     low = choi_low if low is None else low
     defect = choi_defect if defect is None else defect
 
@@ -741,7 +760,7 @@ def test_the_choi_certificate_needs_room_a_finite_margin_and_tol_above_0():
     # last bit, yet E's output may round: the margin alone leaves it to the
     # measurement
     trace_e00 = _trace_e00(4)
-    assert linalg._psd_split(choi(trace_e00), 0.0)[1:] == (0.0, 0.0)
+    assert linalg.psd_within(choi(trace_e00), 0.0)[1:] == (0.0, 0.0)
     assert _settled(trace_e00, 0.0) is None
     assert _settled(PairSumMap(3, ()), 0.0) is True
     # each entry of E's defect is at most w_max times the Choi matrix's

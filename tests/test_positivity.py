@@ -91,6 +91,19 @@ def test_seesaw_rejects_nonhermitian():
         seesaw_product_min(cgauss(rng, 4, 4))
 
 
+def test_seesaw_applies_the_hermiticity_rule_at_its_own_tol():
+    # a defect of 1e-7 passes at tol = 1e-3, as under hermitian_part, and the
+    # see-saw then searches that Hermitian part; at tol = 1e-9 it is refused
+    d = dual_choi(identity_map(2)) + 1e-7 * np.triu(np.ones((4, 4)), 1)
+    herm, _, hermitian = hermitian_part(d, 1e-3)
+    assert hermitian
+    cert = seesaw_product_min(d, tol=1e-3)
+    assert cert.value == seesaw_product_min(herm, tol=1e-3).value
+    assert cert.value >= -1e-3
+    with pytest.raises(NotHermitian):
+        seesaw_product_min(d, tol=1e-9)
+
+
 def test_seesaw_deterministic():
     d = dual_choi(half_trace_minus_id(), TRACIAL2)
     a = seesaw_product_min(d)

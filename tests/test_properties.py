@@ -5,9 +5,9 @@ verdict does not see a unitary change of basis on either side, check_cp's
 extension verdict is E's measured one, which no small weight makes pass a
 map whose Choi matrix fails by far, a map whose Choi margin bounds
 every probe output passes at E, spectral_decompose rebuilds a
-self-adjoint element at weights down to 1e-10, and the frame and
-Hermitian-split helpers keep the bits of the public helpers they stand
-in for.
+self-adjoint element at weights down to 1e-10, and the frame,
+vector-kernel and Hermitian-split helpers keep the bits of the public
+helpers they stand in for.
 
 Examples are drawn by hypothesis with a fixed seed (derandomize=True), at
 n <= 4 and at most a few terms, so the suite runs the same cases every
@@ -34,7 +34,9 @@ from choifactor import (
     element_adjoint,
     element_product,
     extension_positivity_check,
+    identity_element,
     identity_map,
+    implementer_from_vector,
     kraus_decompose,
     make_factor,
     map_scale,
@@ -44,8 +46,8 @@ from choifactor import (
     transfer,
     transpose_map,
 )
-from choifactor.factor import apply_factor_to_state
-from choifactor.linalg import _hermitian_split, _psd_split, dagger
+from choifactor.factor import _implementers, _state_vectors, apply_factor_to_state
+from choifactor.linalg import _hermitian_split, dagger, psd_within
 from choifactor.projection_algebra import _frames
 from helpers import e_verdict
 
@@ -234,7 +236,7 @@ def _choi_certifies_probes(phi, tol):
     # rounding margin is within tol. A psd probe X of norm at most 1 has the
     # output sum_k (R_k (x) 1) choi (R_k (x) 1)* with |sum_k R_k R_k*| =
     # |tr_2 X| <= n, so then every probe, E included, passes.
-    _, low, defect = _psd_split(choi(phi), tol)
+    _, low, defect = psd_within(choi(phi), tol)
     dim = phi.n * phi.n
     return bool(phi.n * (np.max((0.0, -low, dim * defect)) + _rounding_margin(phi)) <= tol)
 
@@ -262,7 +264,7 @@ def test_check_cp_takes_the_extension_verdict_of_e_measured(case):
     event(f"extension positive: {verdict}")
     assert report.extension_positive == report.amplification_positive == verdict
     # the tracial E's output is choi / n, whatever the weights
-    low = _psd_split(choi(phi), tol)[1]
+    low = psd_within(choi(phi), tol)[1]
     if -low > phi.n * (tol + _rounding_margin(phi)):
         assert not verdict
 
@@ -309,6 +311,17 @@ def test_frames_and_the_hermitian_split_keep_the_bits_of_the_public_helpers(n, k
         right = np.conj(apply_factor_to_state(rep, dagger(y)))
         want = (left[:, :, None] * right[:, None, :]).reshape(k, n**4) + 0.0
         assert _frames(rep, x, y).tobytes() == want.tobytes()
+    # the kernels, on stacks and on the transposed views their callers pass
+    for x in (a, b, dagger(b), b.swapaxes(-1, -2)):
+        assert _state_vectors(rep, x).tobytes() == apply_factor_to_state(rep, x).tobytes()
+    ys = data.draw(arrays(np.complex128, (k, n * n), elements=SIGNED_ZERO_ENTRIES))
+    for y in (ys, ys[0], np.asfortranarray(ys)):
+        assert _implementers(rep, y).tobytes() == implementer_from_vector(rep, y).tobytes()
+    # identity_element's terms are (S, S*) with S = e_lk / sqrt(w_k) at k*n + l
+    units = np.eye(n * n, dtype=np.complex128).reshape(n * n, n, n)
+    want = units.transpose(0, 2, 1) / np.sqrt(np.repeat(rep.weights, n))[:, None, None]
+    one = identity_element(rep)
+    assert one.a.tobytes() == want.tobytes() and one.b.tobytes() == dagger(want).tobytes()
     m = data.draw(arrays(np.complex128, (k, n * n, n * n), elements=SIGNED_ZERO_ENTRIES))
     for stack in (m, m[0], m.swapaxes(-1, -2)):
         herm, defect = _hermitian_split(stack)
