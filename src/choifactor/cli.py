@@ -65,23 +65,13 @@ def _cmd_kraus(args) -> tuple[dict, bool]:
     try:
         kd = kraus_decompose(phi, rep, tol=args.tol)
     except NotPositive as exc:
-        doc = {
-            "command": "kraus",
-            "positive": False,
-            "min_eigenvalue": exc.min_eigenvalue,
-            "hermiticity_defect": exc.hermiticity_defect,
-            "tol": args.tol,
-        }
-        return doc, False
-    doc = {
-        "command": "kraus",
-        "positive": True,
-        "count": len(kd),
-        "coefficients": [float(c) for c in kd.coefficients],
-        "ops": formats.matrix_doc(kd.ops),
-        "tol": args.tol,
-    }
-    return doc, True
+        found = {"positive": False, "min_eigenvalue": exc.min_eigenvalue,
+                 "hermiticity_defect": exc.hermiticity_defect}
+    else:
+        found = {"positive": True, "count": len(kd),
+                 "coefficients": [float(c) for c in kd.coefficients],
+                 "ops": formats.matrix_doc(kd.ops)}
+    return {"command": "kraus", **found, "tol": args.tol}, found["positive"]
 
 
 def _cmd_positive(args) -> tuple[dict, bool]:

@@ -81,6 +81,9 @@ def make_factor(n: int, weights="tracial") -> FactorRep:
     else:
         # checked before normalizing, or (-1, -1) would pass as (1/2, 1/2)
         w = _positive_weights(n, weights)
+        with np.errstate(over="ignore"):
+            # a sum out of float range is taken of w / max(w) instead
+            w = w if np.isfinite(w.sum()) else w / w.max()
         w = w / w.sum()
     return FactorRep(n=n, weights=w)
 

@@ -6,8 +6,9 @@ small dimensions (products of matrix dimensions up to a few dozen).
 One Hermiticity rule serves the whole package: m counts as Hermitian
 within tol when max |m - m*| is not above tol * max(1, opnorm(m)), and
 what is then tested or diagonalized is its Hermitian part (m + m*)/2.
-hermitian_part applies the rule; psd_within adds that the Hermitian part's
-lowest eigenvalue is >= -tol, and returns the verdict, it and the defect.
+hermitian_part applies the rule. The psd rule, that the Hermitian part's
+lowest eigenvalue is >= -tol, is applied here alone, by psd_within and
+by _psd_eigh, which also returns the eigendecomposition it was read from.
 
 Each numerical primitive has one implementation here, which every module
 calls: the Hermitian split (m + m*)/2 with max |m - m*|, the finiteness
@@ -118,9 +119,24 @@ def psd_within(m, tol: float) -> tuple[bool, float, float]:
     its Hermitian part, and the defect max |m - m*|. Raises
     NumericalFailure on an entry that is not a finite number."""
     herm, defect, hermitian = hermitian_part(m, tol)
-    _require_finite("diagonalize", herm)
-    low = float(np.linalg.eigvalsh(herm)[0])
+    low = _lowest_eigenvalue(herm)
     return hermitian and low >= -tol, low, defect
+
+
+def _lowest_eigenvalue(herm: np.ndarray) -> float:
+    # eigvalsh's lowest eigenvalue of a Hermitian part, behind the guard
+    _require_finite("diagonalize", herm)
+    return float(np.linalg.eigvalsh(herm)[0])
+
+
+def _psd_eigh(m, tol: float) -> tuple[bool, float, float, tuple | None]:
+    # psd_within of m, plus the descending eigendecomposition (w, v, scale)
+    # of its Hermitian part when m is Hermitian within tol, else None
+    herm, defect, hermitian = hermitian_part(m, tol)
+    if not hermitian:
+        return False, _lowest_eigenvalue(herm), defect, None
+    eig = _descending_eigh(herm)
+    return bool(eig[0][-1] >= -tol), float(eig[0][-1]), defect, eig
 
 
 def matrix_units(n: int) -> np.ndarray:

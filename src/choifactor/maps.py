@@ -33,7 +33,7 @@ from .factor import FactorRep, _implementers, make_factor
 from .linalg import (
     _canonicalize,
     _check_tol,
-    _descending_eigh,
+    _psd_eigh,
     _require_finite,
     as_complex,
     dagger,
@@ -190,21 +190,22 @@ def kraus_decompose(
 ) -> KrausDecomposition:
     """Kraus operators from the eigendecomposition of dual_choi(phi).
 
-    Works at any weight vector. Raises NotPositive (carrying the minimum
-    eigenvalue of the Hermitian part) when the dual Choi operator is not
-    positive semidefinite within tol, which is exactly the non-CP case,
-    and ValueError when tol is not a finite number >= 0.
+    Works at any weight vector. Raises NotPositive when the dual Choi
+    operator is not positive semidefinite within tol, which is exactly the
+    non-CP case, carrying the lowest eigenvalue of its Hermitian part, the
+    min_eig_dual_choi of check_cp; one that is not Hermitian within tol is
+    refused with that eigenvalue from eigvalsh, and no eigh is run. Raises
+    ValueError when tol is not a finite number >= 0.
     """
     _check_tol(tol)
     rep = _resolve_rep(phi, rep)
-    herm, defect, hermitian = hermitian_part(dual_choi(phi, rep), tol)
-    evals, evecs, scale = _descending_eigh(herm)
-    if not hermitian:
-        raise NotPositive(float(evals[-1]), hermiticity_defect=defect,
+    ok, low, defect, eig = _psd_eigh(dual_choi(phi, rep), tol)
+    if eig is None:
+        raise NotPositive(low, hermiticity_defect=defect,
                           message="dual Choi operator is not Hermitian")
-    if evals[-1] < -tol:
-        raise NotPositive(float(evals[-1]), hermiticity_defect=defect)
-    return _kraus_cut(evals, evecs, scale, rep, tol)
+    if not ok:
+        raise NotPositive(low, hermiticity_defect=defect)
+    return _kraus_cut(*eig, rep, tol)
 
 
 def _kraus_cut(evals: np.ndarray, evecs: np.ndarray, scale: float, rep: FactorRep,
@@ -367,15 +368,14 @@ def check_cp(phi: PairSumMap, tol: float = 1e-9, rep: FactorRep | None = None) -
     materialized by state_sum, is measured only where it cannot. So (1) and
     (2) are computed apart from (5) only where E is measured: a map with
     room to spare on either side of tol gets their verdict from the same
-    eigenvalues as (5). No random probe is drawn, here or in
-    extension_positivity_check, which measures E alone.
+    eigenvalues as (5).
 
-    (3) and (4) read one eigendecomposition of the dual Choi operator's
-    Hermitian part: min_eig_dual_choi is its lowest eigenvalue, and the
-    Kraus operators are cut from the same eigenvalues and eigenvectors, so
-    the two verdicts compare one number with -tol. A dual Choi operator
-    that is not Hermitian within tol fails both, and only its lowest
-    eigenvalue is computed.
+    (3) and (4) take the spectral step of kraus_decompose on the dual Choi
+    operator: min_eig_dual_choi is the lowest eigenvalue of its Hermitian
+    part, and the Kraus operators are cut from the same eigenvalues and
+    eigenvectors, so the two verdicts compare one number with -tol. A dual
+    Choi operator that is not Hermitian within tol fails both, and only its
+    lowest eigenvalue is computed, by eigvalsh.
 
     Raises InternalDisagreement when the verdicts conflict, and ValueError
     when tol is not a finite number >= 0.
@@ -389,21 +389,12 @@ def check_cp(phi: PairSumMap, tol: float = 1e-9, rep: FactorRep | None = None) -
     choi_ok, choi_low, choi_defect = psd_within(c, tol)
     ext_ok = _extension_verdict(phi, rep, choi_low, choi_defect, tol)
 
-    # one Hermitian split and one eigendecomposition serve (3) and (4)
-    herm, _, hermitian = hermitian_part(dual_choi(phi, rep), tol)
-    if hermitian:
-        evals, evecs, _ = _descending_eigh(herm)
-        dual_low = float(evals[-1])
-    else:
-        # no Kraus operators to cut, so only the lowest eigenvalue is needed
-        _require_finite("diagonalize", herm)
-        dual_low = float(np.linalg.eigvalsh(herm)[0])
-    dual_ok = hermitian and dual_low >= -tol
+    dual_ok, dual_low, _, eig = _psd_eigh(dual_choi(phi, rep), tol)
     kraus_ok = False
     if dual_ok:
         # sum_j V_j* C V_j does not depend on the basis, phase or order of
         # the V_j inside an eigenspace, so they need not be canonical here
-        _, v = _kraus_ops(evals, evecs, rep, tol)
+        _, v = _kraus_ops(eig[0], eig[1], rep, tol)
         # phi -> choi(phi) is injective (Choi), so equal Choi matrices mean equal maps
         c_kraus = phi.n * state_sum(_tracial(phi.n), dagger(v), v)
         worst = float(np.abs(c_kraus - c).max())

@@ -297,6 +297,18 @@ def test_cli_file_that_is_not_utf8_exits_2(tmp_path, cmd):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
 
+
+def test_cli_weights_whose_sum_overflows_are_normalized(tmp_path):
+    # [1e308, 1e308] normalizes to the uniform weights, so every subcommand
+    # prints what it prints for the tracial state
+    doc = json.loads((DATA / "random_hp.json").read_text(encoding="utf-8"))
+    doc["state"] = {"weights": [1e308, 1e308]}
+    path = tmp_path / "huge_weights.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for cmd in ["choi", "dphi", "adjoint", "cp", "kraus", "positive", "spectral"]:
+        assert run_cli([cmd, str(path)]) == run_cli([cmd, str(DATA / "random_hp.json")]), cmd
+
+
 def test_cli_bad_weights_exit_2(tmp_path):
     # a negative weight, and one too long for a float
     for weights in ([1.0, -1.0], [10**400, 1]):

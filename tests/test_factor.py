@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,18 @@ def test_make_factor_normalizes():
     rep = make_factor(2, [1.0, 3.0])
     assert np.allclose(rep.weights, [0.25, 0.75])
     assert not rep.tracial
+
+
+def test_make_factor_normalizes_weights_whose_sum_overflows():
+    # 1e308 + 1e308 is out of float range, and each weight is in it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert make_factor(2, [1e308, 1e308]).weights.tolist() == [0.5, 0.5]
+        assert np.allclose(make_factor(2, [1e308, 3e307]).weights, [1 / 1.3, 0.3 / 1.3],
+                           rtol=1e-15, atol=0.0)
+    # a sum in range keeps the bits of weights / sum
+    w = np.array([1e307, 3e307, 2e307])
+    assert np.array_equal(make_factor(3, w).weights, w / w.sum())
 
 
 @pytest.mark.parametrize(

@@ -847,17 +847,21 @@ def test_check_cp_diagonalizes_the_dual_choi_operator_once(monkeypatch):
 
 
 def test_min_eig_dual_choi_is_the_eigenvalue_kraus_decompose_refuses():
-    # both are read from one eigh of the dual Choi operator's Hermitian part
+    # both are read from one spectral step on the dual Choi operator: one eigh
+    # of its Hermitian part, or one eigvalsh when it is not Hermitian
     rng = np.random.default_rng(175)
     for n in (2, 3, 4, 6):
         reps = (make_factor(n), make_factor(n, rng.uniform(0.2, 1.0, n)))
         sign_mixed = map_sum(random_cp_map(rng, n, n), map_scale(random_cp_map(rng, n, 1), -1.0))
-        for phi in (sign_mixed, _transpose_type(rng, n), _reduction_type(rng, n, n),
-                    _band_map(n, 1e-3)):
+        # the pair u e_01 w, w* e_01 u* of a transpose-type map, not Hermiticity-preserving
+        one_pair = PairSumMap(n, _transpose_type(rng, n).terms[1:2])
+        for phi, hermitian in ((sign_mixed, True), (_transpose_type(rng, n), True),
+                               (_reduction_type(rng, n, n), True), (_band_map(n, 1e-3), True),
+                               (random_map(rng, n, 2), False), (one_pair, False)):
             for rep in reps:
                 with pytest.raises(NotPositive) as refused:
                     kraus_decompose(phi, rep)
-                assert "not Hermitian" not in str(refused.value)
+                assert ("not Hermitian" in str(refused.value)) is not hermitian
                 report = _cp_report(phi, rep)
                 assert not report.dual_choi_psd
                 assert report.min_eig_dual_choi == refused.value.min_eigenvalue
@@ -903,13 +907,15 @@ def test_the_other_tolerance_taking_calls_refuse_the_same_tolerances(call, tol):
 
 def _kraus_reference(phi, rep, tol):
     # Kraus extraction on the public hermitian_eig, which canonicalizes every
-    # eigenvector before positivity is decided
+    # eigenvector before positivity is decided; an operator that is not
+    # Hermitian is refused with eigvalsh's lowest eigenvalue of its Hermitian part
     d = dual_choi(phi, rep)
     defect = hermiticity_defect(d)
-    evals, evecs = hermitian_eig((d + d.conj().T) / 2.0, tol=max(tol, 1e-6))
+    herm = (d + d.conj().T) / 2.0
     if defect > tol * max(1.0, np.linalg.norm(d, 2)):
-        raise NotPositive(float(evals[-1]), hermiticity_defect=defect,
+        raise NotPositive(float(np.linalg.eigvalsh(herm)[0]), hermiticity_defect=defect,
                           message="dual Choi operator is not Hermitian")
+    evals, evecs = hermitian_eig(herm, tol=max(tol, 1e-6))
     if evals[-1] < -tol:
         raise NotPositive(float(evals[-1]), hermiticity_defect=defect)
     pieces = [(float(c), np.sqrt(c) * implementer_from_vector(rep, evecs[:, j]))
@@ -1050,19 +1056,23 @@ def test_check_cp_builds_the_dual_choi_operator_once(monkeypatch):
 
 
 def test_check_cp_diagonalizes_no_dual_choi_operator_that_is_not_hermitian(monkeypatch):
-    # Kraus extraction refuses such an operator, so its eigh would be wasted
+    # Kraus extraction refuses such an operator, so its eigh would be wasted,
+    # in check_cp and in kraus_decompose
     calls = []
-    eigh = maps._descending_eigh
+    eigh = linalg._descending_eigh
 
     def counting(herm):
         calls.append(1)
         return eigh(herm)
 
-    monkeypatch.setattr(maps, "_descending_eigh", counting)
+    monkeypatch.setattr(linalg, "_descending_eigh", counting)
     rng = np.random.default_rng(152)
     rep = make_factor(3, [0.2, 0.3, 0.5])
-    report = _cp_report(random_map(rng, 3, 2), rep)
+    phi = random_map(rng, 3, 2)
+    report = _cp_report(phi, rep)
     assert not report.kraus_exists and not report.dual_choi_psd
+    with pytest.raises(NotPositive, match="not Hermitian"):
+        kraus_decompose(phi, rep)
     assert calls == []
     _cp_report(random_cp_map(rng, 3, 2), rep)
     assert len(calls) == 1
