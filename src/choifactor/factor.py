@@ -39,7 +39,7 @@ class FactorRep:
     def __post_init__(self):
         w = _positive_weights(self.n, self.weights).copy()
         if abs(float(w.sum()) - 1.0) > 1e-9:
-            raise BadWeights(f"weights must sum to 1, got {w.sum()!r}")
+            raise BadWeights(f"weights must sum to 1, got {float(w.sum())}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 

@@ -12,9 +12,11 @@ by _psd_eigh, which also returns the eigendecomposition it was read from.
 
 Each numerical primitive has one implementation here, which every module
 calls: the Hermitian split (m + m*)/2 with max |m - m*|, the finiteness
-guard ahead of every LAPACK call, the eigensolver entry, the cut of a
-sorted spectrum into clusters, modified Gram-Schmidt, least squares and
-an orthonormal basis of a matrix's range.
+guard ahead of every LAPACK call, the eigensolver entry _eigh (the guard,
+then eigh, on one matrix or a stack), the cut of a sorted spectrum into
+clusters, modified Gram-Schmidt, least squares and an orthonormal basis
+of a matrix's range. The only LAPACK calls outside this module are
+compress's two QRs and the SVD of its guarded core.
 """
 from __future__ import annotations
 
@@ -179,12 +181,17 @@ def _gram_schmidt(vectors: np.ndarray, floor: float, stop: int) -> list[np.ndarr
     return basis
 
 
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the package's one eigh call, on a Hermitian matrix or a stack of them,
+    # eigenvalues ascending; NumericalFailure on an entry that is not finite
+    _require_finite("diagonalize", m)
+    return np.linalg.eigh(m)
+
+
 def _descending_eigh(herm: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    # eigh of a Hermitian part its caller has made, eigenvalues descending,
-    # plus the cluster scale max(1, max |eigenvalue|); NumericalFailure on an
-    # entry that is not a finite number
-    _require_finite("diagonalize", herm)
-    w, v = np.linalg.eigh(herm)
+    # _eigh of a Hermitian part its caller has made, eigenvalues descending,
+    # plus the cluster scale max(1, max |eigenvalue|)
+    w, v = _eigh(herm)
     # eigh sorts ascending, so max |eigenvalue| is -w[0] or w[-1]; the
     # reversed copies keep positive strides, on which matmul calls BLAS
     scale = max(1.0, float(-w[0]), float(w[-1])) if len(w) else 1.0

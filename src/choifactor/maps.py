@@ -438,7 +438,8 @@ def adjoint_choi_symmetry(
     (b) choi(adjoint) = W conj(choi(phi)) W, i.e. conjugation by the
         modular involution, whenever choi(phi) is Hermitian (skipped and
         reported as None otherwise);
-    (c) the two Choi matrices are psd together or not at all.
+    (c) the two Choi matrices are psd together or not at all, as
+        psd_within judges each, so neither is psd when it is not Hermitian.
 
     All three concern choi, which does not depend on the weights, so rep
     only has to have phi's dimension. The minimum eigenvalues are NaN when
@@ -459,11 +460,11 @@ def adjoint_choi_symmetry(
     hermitian = hermitian and not np.isnan(defect)
     conj_err = float(np.max(np.abs(c_adj - np.conj(swapped)))) if hermitian else None
     try:
-        low_c, low_a = psd_within(c, tol)[1], psd_within(c_adj, tol)[1]
+        (ok_c, low_c, _), (ok_a, low_a, _) = psd_within(c, tol), psd_within(c_adj, tol)
     except NumericalFailure:
         # an overflowed Choi matrix has no eigenvalues to report
-        low_c = low_a = np.nan
-    agree = (low_c >= -tol) == (low_a >= -tol) if hermitian else True
+        ok_c, ok_a, low_c, low_a = False, False, np.nan, np.nan
+    agree = ok_c == ok_a
     return AdjointSymmetryReport(
         swap_transpose_error=swap_err,
         choi_hermitian=bool(hermitian),

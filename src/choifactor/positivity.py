@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, NumericalFailure, UnsupportedDimension
 from .factor import FactorRep
-from .linalg import (_check_tol, _require_finite, as_complex, canonical_phase, dagger,
-                     hermitian_part, opnorm, psd_within)
+from .linalg import (_check_tol, _eigh, as_complex, canonical_phase, dagger, hermitian_part,
+                     opnorm, psd_within)
 from .maps import PairSumMap, _resolve_rep, apply_map, choi, dual_choi
 
 
@@ -50,8 +50,8 @@ def product_pairing(d, u, v) -> complex:
 
 
 def _side_dim(d: np.ndarray) -> int:
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {d.shape}")
+    if d.ndim != 2 or d.shape[0] != d.shape[1] or not d.size:
+        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {d.shape}")
     n = int(round(np.sqrt(d.shape[0])))
     if n * n != d.shape[0]:
         raise DimensionMismatch(f"side {d.shape[0]} is not a perfect square")
@@ -68,7 +68,7 @@ def _v_side(d4: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
 
 def _lowest(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    evals, evecs = np.linalg.eigh(mats)
+    evals, evecs = _eigh(mats)
     return evals[:, 0], evecs[:, :, 0]
 
 
@@ -176,9 +176,7 @@ def brute_product_min(d, resolution: int = 90) -> tuple[float, np.ndarray, np.nd
         [np.cos(tt / 2.0).ravel(), np.exp(1j * pp.ravel()) * np.sin(tt / 2.0).ravel()],
         axis=1,
     )
-    mats = _u_side(d4, us)
-    _require_finite("diagonalize", mats)
-    lows, vs = _lowest(mats)
+    lows, vs = _lowest(_u_side(d4, us))
     g = int(np.argmin(lows))
     return float(lows[g]), canonical_phase(us[g]), canonical_phase(vs[g])
 
@@ -195,14 +193,11 @@ def _direct_hermiticity_witness(
     probes = np.array([v for a in range(phi.n) for v in [eye[a]] + [
         (eye[a] + z * eye[b]) / np.sqrt(2.0) for b in range(a + 1, phi.n) for z in (1, 1j)]])
     outs = apply_map(phi, probes[:, :, None] * np.conj(probes)[:, None, :])
-    skews = (outs - dagger(outs)) / 2j
-    _require_finite("take the operator norm", skews)
-    # the first probe of largest skew part wins
-    k = int(np.argmax(np.linalg.norm(skews, 2, axis=(1, 2))))
-    v, skew = probes[k], skews[k]
-    evals, evecs = np.linalg.eigh(skew)
-    pick = int(np.argmax(np.abs(evals)))
-    w = evecs[:, pick]
+    evals, evecs = _eigh((outs - dagger(outs)) / 2j)
+    # the first (probe, eigenpair) of largest |eigenvalue| wins: the first
+    # probe of largest skew part, at its first eigenvector of largest |eigenvalue|
+    k, pick = np.unravel_index(np.argmax(np.abs(evals)), evals.shape)
+    v, w = probes[k], evecs[k, :, pick]
     u = np.conj(w) / np.sqrt(rep.weights)
     u = canonical_phase(u / np.linalg.norm(u))
     v = canonical_phase(v)

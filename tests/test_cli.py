@@ -201,6 +201,20 @@ HUGE_OUTCOMES = {
 }
 
 
+def test_cli_cp_disagreement_exits_4_with_one_error_line(monkeypatch):
+    # no map is known to keep disagreeing once the tolerances are made
+    # consistent, so the disagreement is raised by a stand-in check_cp
+    report = choifactor.check_cp(choifactor.identity_map(2))
+
+    def disagreeing(*args, **kwargs):
+        raise choifactor.InternalDisagreement(report)
+
+    monkeypatch.setattr(choifactor.cli, "check_cp", disagreeing)
+    code, out, err = run_cli(["cp", str(DATA / "identity.json")])
+    assert (code, out) == (4, "")
+    assert err.startswith("error: cp checks disagree") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("name", sorted(HUGE_DOCS))
 def test_cli_huge_entries_keep_their_exit_codes_and_error_lines(tmp_path, name):
     path = tmp_path / f"huge_{name}.json"

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import warnings
 
 import numpy as np
@@ -275,3 +277,33 @@ def test_hermitian_eig_degenerate_clusters_match_the_opnorm_scale():
         assert np.array_equal(got_v, want_v)
     for m in (3.0 * SWAP, 2.5 * np.kron(np.eye(3), SX)):
         assert all(np.array_equal(g, w) for g, w in zip(hermitian_eig(m), _hermitian_eig_reference(m)))
+
+
+_SOLVERS = {"eigh", "eigvalsh", "eig", "eigvals"}
+
+
+def _spectral_calls(tree):
+    # eigensolver calls and matrix 2-norms (norm(x, 2) or norm(x, ord=-2), ...)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            yield from (a.name for a in node.names if a.name in _SOLVERS | {"norm"})
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in _SOLVERS:
+            yield name
+        ords = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
+        if name == "norm" and any(not (isinstance(o, ast.Constant) and o.value in (None, "fro"))
+                                  for o in ords):
+            yield f"norm(ord={ast.unparse(ords[0])})"
+
+
+def test_only_linalg_calls_an_eigensolver_or_a_matrix_2_norm():
+    src = pathlib.Path(linalg.__file__).parent
+    found = {path.name: sorted(set(_spectral_calls(ast.parse(path.read_text(encoding="utf-8")))))
+             for path in sorted(src.glob("*.py")) if path.name != "linalg.py"}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+    # the scan sees what it looks for
+    assert set(_spectral_calls(ast.parse(pathlib.Path(linalg.__file__).read_text()))) >= {
+        "eigh", "eigvalsh", "norm(ord=2)"}

@@ -522,6 +522,22 @@ def test_adjoint_choi_symmetry_zero_map():
     assert report.positivity_agree
 
 
+@pytest.mark.parametrize("oks", [(True, True), (True, False), (False, True), (False, False)])
+def test_adjoint_choi_symmetry_compares_psd_withins_verdicts(monkeypatch, oks):
+    # point (c) applies no psd rule of its own: whatever psd_within says of
+    # the Choi matrix and then of the adjoint's, positivity_agree follows it
+    psd_within = maps.psd_within
+    verdicts = iter(oks)
+
+    def judged(m, tol):
+        return (next(verdicts),) + psd_within(m, tol)[1:]
+
+    monkeypatch.setattr(maps, "psd_within", judged)
+    report = adjoint_choi_symmetry(transpose_map(2))
+    assert report.positivity_agree is (oks[0] == oks[1])
+    assert (report.min_eig_choi, report.min_eig_adjoint_choi) == pytest.approx((-1.0, -1.0))
+
+
 # ---------------------------------------------------------------- early exit
 
 

@@ -379,3 +379,73 @@ def test_stacked_seesaw_is_the_per_restart_reference(d, restarts, iters, tol, se
     assert np.float64(cert.value).tobytes() == np.float64(value).tobytes()
     assert cert.witness_u.tobytes() == u.tobytes()
     assert cert.witness_v.tobytes() == v.tobytes()
+
+
+# ------------------------------------------------ the guarded eigensolver
+
+
+def _recording_eigh(monkeypatch):
+    # every array that reaches np.linalg.eigh, copied, in call order
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording(m):
+        seen.append(np.array(m))
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return seen
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_no_array_out_of_range_reaches_eigh(monkeypatch):
+    seen = _recording_eigh(monkeypatch)
+    # the Hermitian split of 1e308 entries overflows; the entry refuses the
+    # contraction before LAPACK rather than the descent check after it
+    with pytest.raises(NumericalFailure, match="cannot diagonalize"):
+        seesaw_product_min(1e308 * np.ones((4, 4)))
+    with pytest.raises(NumericalFailure, match="cannot diagonalize"):
+        brute_product_min(1e308 * np.ones((4, 4)))
+    brute_product_min(dual_choi(transpose_map(2), TRACIAL2), resolution=8)
+    rng = np.random.default_rng(151)
+    non_hp = PairSumMap(3, ((cgauss(rng, 3, 3), cgauss(rng, 3, 3)),))
+    assert check_positive(non_hp).method == "direct"
+    assert seen and all(np.isfinite(m).all() for m in seen)
+
+
+def test_direct_witness_takes_one_stacked_eigh_and_no_svd(monkeypatch):
+    rng = np.random.default_rng(151)
+    phi = PairSumMap(3, ((cgauss(rng, 3, 3), cgauss(rng, 3, 3)),))
+    d = dual_choi(phi, make_factor(3))
+    seen = _recording_eigh(monkeypatch)
+    norm = np.linalg.norm
+
+    def vector_norm(x, ord=None, **kwargs):
+        assert ord is None, "a matrix 2-norm takes an SVD"
+        return norm(x, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", vector_norm)
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("svd called"))
+    cert = positivity._direct_hermiticity_witness(phi, make_factor(3), d, 42)
+    assert [m.shape for m in seen] == [(9, 3, 3)]
+    assert cert.method == "direct" and cert.pairing_imag != 0.0
+
+
+def test_direct_witness_picks_as_the_spectral_norm_of_each_skew_part_did():
+    # the first probe of largest spectral norm, then its first eigenvector of
+    # largest |eigenvalue|, as the witness once picked them, bit for bit
+    rng = np.random.default_rng(5)
+    for n, k in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1)) * 4:
+        phi = PairSumMap(n, tuple((cgauss(rng, n, n), cgauss(rng, n, n)) for _ in range(k)))
+        rep = make_factor(n, rng.uniform(0.5, 1.5, n))
+        cert = positivity._direct_hermiticity_witness(phi, rep, dual_choi(phi, rep), 0)
+        eye = np.eye(n)
+        probes = np.array([v for a in range(n) for v in [eye[a]] + [
+            (eye[a] + z * eye[b]) / np.sqrt(2.0) for b in range(a + 1, n) for z in (1, 1j)]])
+        outs = apply_map(phi, probes[:, :, None] * np.conj(probes)[:, None, :])
+        skews = (outs - np.conj(outs).swapaxes(1, 2)) / 2j
+        probe = int(np.argmax(np.linalg.norm(skews, 2, axis=(1, 2))))
+        evals, evecs = np.linalg.eigh(skews[probe])
+        u = np.conj(evecs[:, int(np.argmax(np.abs(evals)))]) / np.sqrt(rep.weights)
+        assert cert.witness_u.tobytes() == reference_canonical_phase(u / np.linalg.norm(u)).tobytes()
+        assert cert.witness_v.tobytes() == reference_canonical_phase(probes[probe]).tobytes()
